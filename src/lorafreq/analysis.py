@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dct import Spectrum, dct2, idct2
+from .dct import Spectrum, dct2, scatter_idct2
 from .errors import ShapeMismatch, ZeroSpectrum
 from .linalg import Matrix
 
@@ -128,23 +128,86 @@ def topk_mask(f: Spectrum, k_percent: float) -> MaskResult:
     """Retain the k_count = max(1, ceil(k% of m*n)) largest-|F| coefficients.
 
     Ties in |F| are broken toward the smaller row-major flat index, which
-    makes masks nested across k and deterministic across platforms.
+    makes masks nested across k and deterministic across platforms. A
+    zero-energy spectrum has nothing to select and raises ZeroSpectrum.
     """
     if not 0.0 < k_percent <= 100.0:
         raise ValueError(f"k_percent must be in (0, 100], got {k_percent}")
     flat = f.coefficients.data
+    order, total = _ranking(flat)
+    return _prefix_mask(flat, order, total, k_percent)
+
+
+def mask_count(k_percent: float, total_count: int) -> int:
+    """Exact retained-coefficient count for a k% mask."""
+    raw = math.ceil(k_percent * total_count / 100.0 - _CEIL_EPS)
+    return max(1, min(total_count, raw))
+
+
+def reconstruct(f: Spectrum, mask: MaskResult) -> Matrix:
+    """Zero all non-retained coefficients and invert the transform."""
+    m, n = f.coefficients.shape
+    if mask.k_count > m * n or (
+        mask.retained_flat_indices.size
+        and int(mask.retained_flat_indices[-1]) >= m * n
+    ):
+        raise ShapeMismatch(
+            f"mask indexes beyond the {m}x{n} spectrum it is applied to"
+        )
+    return scatter_idct2((m, n), mask.retained_flat_indices, mask.retained_values)
+
+
+def sweep(delta: Matrix, k_values: list[float]) -> list[SweepPoint]:
+    """Mask/reconstruct metrics for each k, sharing one DCT and one magnitude
+    ordering, whose prefix for the largest k holds every k's mask."""
+    for k in k_values:
+        if not 0.0 < k <= 100.0:
+            raise ValueError(f"k values must be in (0, 100], got {k}")
+    f = dct2(delta)
+    flat = f.coefficients.data
+    order, total = _ranking(flat)
+    order = order[: mask_count(max(k_values), flat.size)].copy()
+    norm = math.sqrt(float(np.sum(delta.array**2)))
+    points = []
+    for k in k_values:
+        mask = _prefix_mask(flat, order, total, k)
+        # No reconstruction outlives its own k.
+        sq_error = np.sum((delta.array - reconstruct(f, mask).array) ** 2)
+        err = math.sqrt(float(sq_error)) / norm
+        points.append(
+            SweepPoint(
+                k_percent=float(k),
+                relative_error=err,
+                retained_energy_fraction=mask.retained_energy_fraction,
+                k_count=mask.k_count,
+            )
+        )
+    return points
+
+
+def _ranking(flat: np.ndarray) -> tuple[np.ndarray, float]:
+    """Flat indices by descending |F|, ties toward the lower flat index, and
+    the total energy. A spectrum whose squares are all 0 raises ZeroSpectrum.
+    """
+    total = float(np.sum(flat**2))
+    if total == 0.0:
+        raise ZeroSpectrum("zero-energy spectrum has no top-k selection")
+    return np.argsort(-np.abs(flat), kind="stable"), total
+
+
+def _prefix_mask(
+    flat: np.ndarray, order: np.ndarray, total: float, k_percent: float
+) -> MaskResult:
+    """The k% mask formed by the leading entries of a magnitude ordering."""
     total_count = flat.size
     k_count = mask_count(k_percent, total_count)
-
-    order = np.argsort(-np.abs(flat), kind="stable")
     chosen = np.sort(order[:k_count])
     values = flat[chosen].copy()
 
     if k_count == total_count:
         fraction = 1.0
     else:
-        total = float(np.sum(flat**2))
-        fraction = float(np.sum(values**2)) / total if total > 0.0 else 0.0
+        fraction = float(np.sum(values**2)) / total
         fraction = min(1.0, max(0.0, fraction))
     chosen = chosen.astype(np.int64)
     chosen.setflags(write=False)
@@ -156,52 +219,6 @@ def topk_mask(f: Spectrum, k_percent: float) -> MaskResult:
         k_percent_requested=float(k_percent),
         k_count=k_count,
     )
-
-
-def mask_count(k_percent: float, total_count: int) -> int:
-    """Exact retained-coefficient count for a k% mask."""
-    raw = math.ceil(k_percent * total_count / 100.0 - _CEIL_EPS)
-    return max(1, min(total_count, raw))
-
-
-def reconstruct(f: Spectrum, mask: MaskResult) -> Matrix:
-    """Zero all non-retained coefficients and invert the transform."""
-    m, n = f.origin_shape
-    if mask.k_count > m * n or (
-        mask.retained_flat_indices.size
-        and int(mask.retained_flat_indices[-1]) >= m * n
-    ):
-        raise ShapeMismatch(
-            f"mask indexes beyond the {m}x{n} spectrum it is applied to"
-        )
-    kept = np.zeros(m * n)
-    kept[mask.retained_flat_indices] = mask.retained_values
-    return idct2(Spectrum(Matrix(kept.reshape(m, n)), (m, n)))
-
-
-def sweep(delta: Matrix, k_values: list[float]) -> list[SweepPoint]:
-    """Mask/reconstruct metrics for each k, sharing a single forward DCT."""
-    for k in k_values:
-        if not 0.0 < k <= 100.0:
-            raise ValueError(f"k values must be in (0, 100], got {k}")
-    norm = math.sqrt(float(np.sum(delta.array**2)))
-    if norm == 0.0:
-        raise ZeroSpectrum("zero update matrix cannot be swept")
-    f = dct2(delta)
-    points = []
-    for k in k_values:
-        mask = topk_mask(f, k)
-        recon = reconstruct(f, mask)
-        err = math.sqrt(float(np.sum((delta.array - recon.array) ** 2))) / norm
-        points.append(
-            SweepPoint(
-                k_percent=float(k),
-                relative_error=err,
-                retained_energy_fraction=mask.retained_energy_fraction,
-                k_count=mask.k_count,
-            )
-        )
-    return points
 
 
 def dct_k90(delta: Matrix, target_fraction: float = 0.9) -> SpectralSummary:

@@ -16,11 +16,9 @@ import io
 import json
 import os
 import re
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import click
-import numpy as np
 
 from . import codec, report
 from .analysis import reconstruct, sweep, topk_mask
@@ -101,7 +99,7 @@ def cli():
 def cmd_analyze(input, out, energy_target, scale, threads):
     """Report spectral energy concentration per adapter matrix."""
     pairs, applied = _load_pairs(input, scale)
-    rows_curves = report.analysis_rows(pairs, energy_target, _workers(threads))
+    rows_curves = report.analysis_rows(pairs, energy_target, threads)
     doc = report.analysis_report(input, pairs, rows_curves, applied)
 
     out_dir = Path(out)
@@ -160,34 +158,22 @@ def cmd_mask(input, k, out, emit, base_params, scale, threads):
     pairs, _ = _load_pairs(input, scale)
 
     def one(pair):
-        delta = merge_delta(pair)
-        spectrum = dct2(delta)
-        if not np.any(spectrum.coefficients.data):
-            return pair, None, None
-        return pair, spectrum, topk_mask(spectrum, k)
+        spectrum = dct2(merge_delta(pair))
+        mask = topk_mask(spectrum, k)
+        if emit == "sparse":
+            return mask.k_count, codec.encode_sparse(pair.prefix, spectrum, mask)
+        recon = reconstruct(spectrum, mask)
+        name = f"{pair.prefix}.delta_w"
+        return mask.k_count, TensorRecord(name, "F64", recon.shape, recon.array)
 
-    results = _pmap(one, pairs, threads)
-    live = [(p, f, m) for p, f, m in results if m is not None]
-    for pair, _, m in results:
-        if m is None:
-            click.echo(f"warning: skipping zero update {pair.prefix}", err=True)
-    if not live:
-        raise ZeroSpectrum("every update matrix in the input is zero")
-
+    counts, items = zip(*report.map_matrices(one, pairs, threads))
     base = base_params or sum(p.out_shape[0] * p.out_shape[1] for p in pairs)
-    accounting = codec.storage_report(base, k, [m.k_count for _, _, m in live])
+    accounting = codec.storage_report(base, k, list(counts))
 
     if emit == "sparse":
-        spectra = [codec.encode_sparse(p.prefix, f, m) for p, f, m in live]
-        out_file = codec.pack_sparse_file(spectra)
+        out_file = codec.pack_sparse_file(list(items))
     else:
-        tensors = []
-        for pair, spectrum, m in live:
-            recon = reconstruct(spectrum, m)
-            tensors.append(
-                TensorRecord(f"{pair.prefix}.delta_w", "F64", recon.shape, recon.array)
-            )
-        out_file = AdapterFile(tensors=tuple(tensors), metadata={})
+        out_file = AdapterFile(tensors=items, metadata={})
     _write_bytes(Path(out), write_container(out_file))
 
     click.echo(
@@ -219,7 +205,7 @@ def cmd_decompress(input, out, threads):
         dense = codec.decode_sparse(s)
         return TensorRecord(f"{s.name}.delta_w", "F64", dense.shape, dense.array)
 
-    tensors = _pmap(one, spectra, threads)
+    tensors = report.map_matrices(one, spectra, threads)
     out_file = AdapterFile(tensors=tuple(tensors), metadata={})
     _write_bytes(Path(out), write_container(out_file))
     click.echo(f"decompressed {len(tensors)} matrices into {out}", err=True)
@@ -241,22 +227,12 @@ def cmd_sweep(input, k_list, out, scale, threads):
     pairs, _ = _load_pairs(input, scale)
 
     def one(pair):
-        delta = merge_delta(pair)
-        if not np.any(delta.data):
-            return pair, None
-        return pair, sweep(delta, k_list)
+        return pair.prefix, sweep(merge_delta(pair), k_list)
 
-    results = _pmap(one, pairs, threads)
-    for pair, points in results:
-        if points is None:
-            click.echo(f"warning: skipping zero update {pair.prefix}", err=True)
-    live = [(pair, points) for pair, points in results if points is not None]
-    if not live:
-        raise ZeroSpectrum("every update matrix in the input is zero")
-
+    live = report.map_matrices(one, pairs, threads)
     rows = [
-        (pair.prefix, pt.k_percent, pt.relative_error, pt.retained_energy_fraction)
-        for pair, points in sorted(live, key=lambda item: item[0].prefix)
+        (prefix, pt.k_percent, pt.relative_error, pt.retained_energy_fraction)
+        for prefix, points in sorted(live, key=lambda item: item[0])
         for pt in points
     ]
     _write_text(
@@ -277,7 +253,7 @@ def cmd_sweep(input, k_list, out, scale, threads):
 def cmd_correlate(input, out, scale, threads):
     """Correlate SVD-based and DCT-based k90 across matrices."""
     pairs, applied = _load_pairs(input, scale)
-    doc = report.correlate_report(input, pairs, applied, _workers(threads))
+    doc = report.correlate_report(input, pairs, applied, threads)
     _write_text(Path(out), _json_text(doc))
     click.echo(
         f"pearson {doc['pearson']:.4f}, spearman {doc['spearman']:.4f}, "
@@ -329,9 +305,6 @@ def main(argv=None) -> int:
     """Entry point mapping domain errors onto documented exit codes."""
     try:
         cli.main(args=argv, standalone_mode=False)
-    except click.UsageError as exc:
-        exc.show()
-        return 1
     except click.ClickException as exc:
         exc.show()
         return 1
@@ -356,15 +329,6 @@ def _load_pairs(path: str, scale):
         raise _NoPairsError(f"no lora_A/lora_B pairs found in {path}")
     applied = scale if scale is not None else pairs[0].scale
     return pairs, applied
-
-
-def _workers(threads) -> int:
-    return threads if threads else (os.cpu_count() or 1)
-
-
-def _pmap(fn, items, threads):
-    with ThreadPoolExecutor(max_workers=_workers(threads)) as pool:
-        return list(pool.map(fn, items))
 
 
 def _parse_k_list(value: str) -> list[float]:

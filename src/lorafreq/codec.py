@@ -17,7 +17,7 @@ import numpy as np
 
 from .analysis import MaskResult
 from .container import AdapterFile, TensorRecord
-from .dct import Spectrum, idct2
+from .dct import Spectrum, scatter_idct2
 from .errors import CorruptSparse, DuplicateName, InvalidSpec, NotSpectralFile
 from .linalg import Matrix
 
@@ -83,7 +83,7 @@ def encode_sparse(name: str, f: Spectrum, mask: MaskResult) -> SparseSpectrum:
     values.setflags(write=False)
     return SparseSpectrum(
         name=name,
-        shape=f.origin_shape,
+        shape=f.coefficients.shape,
         flat_indices=indices,
         values=values,
         k_percent=mask.k_percent_requested,
@@ -93,13 +93,10 @@ def encode_sparse(name: str, f: Spectrum, mask: MaskResult) -> SparseSpectrum:
 def decode_sparse(s: SparseSpectrum) -> Matrix:
     """Scatter retained values into a zero spectrum and invert."""
     _validate(s)
-    m, n = s.shape
-    flat = np.zeros(m * n)
-    flat[s.flat_indices] = s.values.astype(np.float64)
-    return idct2(Spectrum(Matrix(flat.reshape(m, n)), (m, n)))
+    return scatter_idct2(s.shape, s.flat_indices, s.values)
 
 
-def pack_sparse_file(spectra: list[SparseSpectrum], meta: dict | None = None) -> AdapterFile:
+def pack_sparse_file(spectra: list[SparseSpectrum]) -> AdapterFile:
     """Lay spectra out as index/value tensor pairs in one container."""
     if not spectra:
         raise InvalidSpec("cannot pack an empty spectrum list")
@@ -112,10 +109,11 @@ def pack_sparse_file(spectra: list[SparseSpectrum], meta: dict | None = None) ->
             f"all spectra in one file must share k_percent, got {sorted(k_values)}"
         )
 
-    metadata = {str(k): str(v) for k, v in (meta or {}).items()}
-    metadata["format"] = FORMAT_TAG
-    metadata["transform"] = TRANSFORM_TAG
-    metadata["k_percent"] = repr(float(spectra[0].k_percent))
+    metadata = {
+        "format": FORMAT_TAG,
+        "transform": TRANSFORM_TAG,
+        "k_percent": repr(float(spectra[0].k_percent)),
+    }
 
     tensors = []
     for s in spectra:
@@ -155,6 +153,8 @@ def unpack_sparse_file(file: AdapterFile) -> list[SparseSpectrum]:
         k_percent = float(file.metadata["k_percent"])
     except (KeyError, ValueError) as exc:
         raise CorruptSparse(f"bad or missing k_percent metadata: {exc}") from exc
+    if not 0.0 < k_percent <= 100.0:  # also rejects NaN
+        raise CorruptSparse(f"k_percent metadata {k_percent} is outside (0, 100]")
 
     by_base: dict[str, dict[str, TensorRecord]] = {}
     order: list[str] = []

@@ -202,16 +202,14 @@ def read_container(raw: bytes) -> AdapterFile:
     return AdapterFile(tensors=tuple(tensors), metadata=metadata)
 
 
-def write_container(file: AdapterFile, dtype_policy: str = "F64") -> bytes:
+def write_container(file: AdapterFile) -> bytes:
     """Serialize an AdapterFile.
 
     Header keys are sorted lexicographically and data offsets are packed
-    contiguously in that order. Each tensor is written in the narrower of
-    its own dtype and dtype_policy, so already-narrow tensors (e.g. the
-    binary32 half of a sparse spectral file) are never widened.
+    contiguously in that order. Each tensor is written in its own dtype, so
+    narrow tensors (e.g. the binary32 half of a sparse spectral file) are
+    never widened.
     """
-    if dtype_policy not in ("F32", "F64"):
-        raise ValueError(f"dtype_policy must be F32 or F64, got {dtype_policy!r}")
     names = [t.name for t in file.tensors]
     if len(set(names)) != len(names):
         raise DuplicateName("tensor names must be unique")
@@ -220,10 +218,9 @@ def write_container(file: AdapterFile, dtype_policy: str = "F64") -> bytes:
     chunks = []
     offset = 0
     for t in sorted(file.tensors, key=lambda t: t.name):
-        eff = t.dtype if DTYPE_WIDTHS[t.dtype] < DTYPE_WIDTHS[dtype_policy] else dtype_policy
-        payload = t.data.astype(_NUMPY_DTYPES[eff]).tobytes()
+        payload = t.data.astype(_NUMPY_DTYPES[t.dtype]).tobytes()
         header[t.name] = {
-            "dtype": eff,
+            "dtype": t.dtype,
             "shape": list(t.shape),
             "data_offsets": [offset, offset + len(payload)],
         }

@@ -28,25 +28,27 @@ class Spectrum:
     """DCT-II coefficients of a matrix, same shape as the source."""
 
     coefficients: Matrix
-    origin_shape: tuple[int, int]
-
-    def __post_init__(self):
-        if self.coefficients.shape != tuple(self.origin_shape):
-            raise ValueError(
-                f"coefficient shape {self.coefficients.shape} does not match "
-                f"origin shape {tuple(self.origin_shape)}"
-            )
 
 
 def dct2(x: Matrix) -> Spectrum:
     """Forward orthonormal 2D DCT-II."""
     coeffs = _fft.dctn(x.array, type=2, norm="ortho")
-    return Spectrum(coefficients=Matrix(coeffs), origin_shape=x.shape)
+    return Spectrum(Matrix(coeffs))
 
 
 def idct2(f: Spectrum) -> Matrix:
     """Inverse of :func:`dct2` (separable orthonormal DCT-III)."""
     return Matrix(_fft.idctn(f.coefficients.array, type=2, norm="ortho"))
+
+
+def scatter_idct2(shape: tuple[int, int], flat_indices, values) -> Matrix:
+    """Inverse of a spectrum that is zero outside the given flat indices."""
+    m, n = shape
+    flat = np.zeros(m * n)
+    flat[flat_indices] = values
+    spectrum = Spectrum(Matrix(flat.reshape(m, n)))
+    del flat  # Matrix copied it; free the buffer before the inverse allocates
+    return idct2(spectrum)
 
 
 def dct2_reference(x: Matrix) -> Spectrum:
@@ -57,12 +59,12 @@ def dct2_reference(x: Matrix) -> Spectrum:
     """
     m, n = x.shape
     coeffs = _basis(m) @ x.array @ _basis(n).T
-    return Spectrum(coefficients=Matrix(coeffs), origin_shape=x.shape)
+    return Spectrum(Matrix(coeffs))
 
 
 def idct2_reference(f: Spectrum) -> Matrix:
     """Definitional inverse: transpose of the orthogonal basis on each side."""
-    m, n = f.origin_shape
+    m, n = f.coefficients.shape
     return Matrix(_basis(m).T @ f.coefficients.array @ _basis(n))
 
 

@@ -2,13 +2,16 @@
 
 Builders return plain dicts shaped exactly like the shipped JSON schemas
 (schemas/analysis_report.schema.json, schemas/correlate_report.schema.json).
-Per-matrix work fans out to a thread pool; executor.map keeps results in
-input order, so reports are deterministic regardless of scheduling.
+Every command's per-matrix work runs through map_matrices, one thread pool
+whose results keep input order, so outputs are deterministic regardless of
+scheduling.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from importlib import metadata
 
@@ -25,7 +28,6 @@ from .analysis import (
 from .container import AdapterFile, LoraPair, merge_delta, pair_lora
 from .dct import dct2
 from .errors import DegenerateInput, ZeroSpectrum
-from .linalg import Matrix
 from .stats import svd_dct_correlate, svd_k90
 
 try:
@@ -50,14 +52,33 @@ def effective_pairs(file: AdapterFile, scale_override: float | None = None):
     return pairs, result.orphans
 
 
+def map_matrices(fn, items, threads: int | None) -> list:
+    """fn over items on one thread pool (None: one thread per core), in order.
+
+    The zero-update rule of every command: an item for which fn raises
+    ZeroSpectrum is skipped with a warning naming its prefix (decompress's
+    fn never raises it), and ZeroSpectrum is raised when no item is left.
+    """
+    with ThreadPoolExecutor(max_workers=threads or os.cpu_count()) as pool:
+        futures = [pool.submit(fn, item) for item in items]
+    live = []
+    for item, future in zip(items, futures):
+        try:
+            live.append(future.result())
+        except ZeroSpectrum:
+            print(f"warning: skipping zero update {item.prefix}", file=sys.stderr)
+    if not live:
+        raise ZeroSpectrum("every update matrix in the input is zero")
+    return live
+
+
 def analysis_rows(
-    pairs: tuple[LoraPair, ...], energy_target: float, threads: int
+    pairs: tuple[LoraPair, ...], energy_target: float, threads: int | None
 ) -> list[tuple[dict, EnergyCurve]]:
-    """(report row, energy curve) per pair, in pair order."""
+    """(report row, energy curve) per pair, in pair order; zero rows flagged."""
 
     def one(pair: LoraPair) -> tuple[dict, EnergyCurve]:
-        delta = merge_delta(pair)
-        curve = energy_curve(dct2(delta))
+        curve = energy_curve(dct2(merge_delta(pair)))
         row = {
             "prefix": pair.prefix,
             "layer_index": pair.layer_index,
@@ -74,8 +95,7 @@ def analysis_rows(
             row["coeff_count_90"] = summary.coeff_count_90
         return row, curve
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(one, pairs))
+    return map_matrices(one, pairs, threads)
 
 
 def analysis_report(
@@ -152,21 +172,17 @@ def correlate_report(
     input_path: str,
     pairs: tuple[LoraPair, ...],
     scale_applied: float,
-    threads: int,
+    threads: int | None,
 ) -> dict:
-    """SVD-vs-DCT k90 correlation across a container's matrices."""
+    """SVD-vs-DCT k90 correlation across a container's non-zero matrices."""
 
-    def one(pair: LoraPair) -> tuple[str, float, float] | None:
+    def one(pair: LoraPair) -> tuple[str, float, float]:
         delta = merge_delta(pair)
-        try:
-            svd_value = svd_k90(delta)
-            dct_value = dct_k90(delta).k90_percent
-        except ZeroSpectrum:
-            return None
-        return pair.prefix, svd_value, dct_value
+        # The DCT side first, so its energy alone decides a zero update.
+        dct_value = dct_k90(delta).k90_percent
+        return pair.prefix, svd_k90(delta), dct_value
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        rows = [row for row in pool.map(one, pairs) if row is not None]
+    rows = map_matrices(one, pairs, threads)
     if len(rows) < 4:
         raise DegenerateInput(
             f"correlation needs at least 4 non-zero matrices, have {len(rows)}"

@@ -25,8 +25,7 @@ from lorafreq.linalg import Matrix
 
 
 def spectrum_of(values) -> Spectrum:
-    m = Matrix(values)
-    return Spectrum(m, m.shape)
+    return Spectrum(Matrix(values))
 
 
 def dct_mode(length: int, index: int) -> np.ndarray:
@@ -203,6 +202,11 @@ class TestTopkMask:
         for bad in (0.0, -5.0, 100.1):
             with pytest.raises(ValueError):
                 topk_mask(f, bad)
+
+    def test_zero_energy_raises(self):
+        for scale in (0.0, 1e-170):
+            with pytest.raises(ZeroSpectrum):
+                topk_mask(spectrum_of(np.full((3, 4), scale)), 50.0)
 
 
 class TestReconstruct:

@@ -156,15 +156,6 @@ class TestAnalyze:
         k2 = [r["k90_percent"] for r in d2["per_matrix"]]
         assert k1 == k2
 
-    def test_threads_do_not_change_output(self, tmp_path):
-        src = synth(tmp_path, count=4)
-        out1, out2 = tmp_path / "t1", tmp_path / "t2"
-        assert main(["analyze", str(src), "--out", str(out1), "--threads", "1"]) == 0
-        assert main(["analyze", str(src), "--out", str(out2), "--threads", "4"]) == 0
-        assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
-        assert (out1 / "curves_combined.csv").read_bytes() == (
-            out2 / "curves_combined.csv"
-        ).read_bytes()
 
 
 class TestMask:
@@ -337,7 +328,84 @@ class TestCorrelate:
         assert main(["correlate", str(src), "--out", str(tmp_path / "c.json")]) == 6
 
 
+class TestZeroUpdates:
+    """One normal update, one whose energy underflows to 0, one exact zero."""
+
+    ZERO_PREFIXES = ("layer.1.query", "layer.2.query")
+
+    @pytest.fixture
+    def src(self, tmp_path):
+        rng = np.random.default_rng(12)
+        a, b = rng.standard_normal((2, 6)), rng.standard_normal((6, 2))
+        tensors = []
+        # B scaled by 1e-170 gives an update of ~1e-170, whose squares are 0.
+        for layer, b_scale in ((0, 1.0), (1, 1e-170), (2, 0.0)):
+            tensors += [
+                TensorRecord(f"layer.{layer}.query.lora_A.weight", "F64", (2, 6), a),
+                TensorRecord(
+                    f"layer.{layer}.query.lora_B.weight", "F64", (6, 2), b * b_scale
+                ),
+            ]
+        path = tmp_path / "zeros.st"
+        path.write_bytes(write_container(AdapterFile(tensors=tuple(tensors))))
+        return path
+
+    def test_analyze_flags_both(self, src, tmp_path):
+        out = tmp_path / "rep"
+        assert main(["analyze", str(src), "--out", str(out)]) == 0
+        doc = json.loads((out / "report.json").read_text())
+        assert [row["zero_flag"] for row in doc["per_matrix"]] == [False, True, True]
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["mask", "--k", "50"], 0),
+            (["sweep", "--k-list", "10,50"], 0),
+            (["correlate"], 6),  # one matrix left, correlate needs four
+        ],
+        ids=["mask", "sweep", "correlate"],
+    )
+    def test_skipped_with_one_warning_each(self, src, tmp_path, capsys, argv, code):
+        out = tmp_path / "out"
+        assert main([argv[0], str(src), *argv[1:], "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        for prefix in self.ZERO_PREFIXES:
+            assert err.count(f"warning: skipping zero update {prefix}\n") == 1
+        if code == 0:
+            assert b"layer.0.query" in out.read_bytes()
+            assert b"layer.1" not in out.read_bytes()
+            assert b"layer.2" not in out.read_bytes()
+
+
 class TestDeterminism:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "{src}"],
+            ["mask", "{src}", "--k", "10"],
+            ["mask", "{src}", "--k", "10", "--emit", "dense"],
+            ["decompress", "{sparse}"],
+            ["sweep", "{src}", "--k-list", "5,20,50"],
+            ["correlate", "{src}"],
+        ],
+        ids=["analyze", "mask-sparse", "mask-dense", "decompress", "sweep", "correlate"],
+    )
+    def test_threads_do_not_change_output(self, tmp_path, argv):
+        # A rank ramp gives correlate four matrices with distinct k90s.
+        src = synth(tmp_path, count=4, **{"rank-ramp": True})
+        sparse = tmp_path / "sparse.st"
+        assert main(["mask", str(src), "--k", "10", "--out", str(sparse)]) == 0
+        outputs = []
+        for threads in ("1", "4"):
+            out = tmp_path / f"threads{threads}"
+            args = [arg.format(src=src, sparse=sparse) for arg in argv]
+            assert main([*args, "--out", str(out), "--threads", threads]) == 0
+            if out.is_dir():
+                outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+            else:
+                outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_analyze_and_mask_reruns_byte_identical(self, tmp_path):
         src = synth(tmp_path, count=3)
         outs = []

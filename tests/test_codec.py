@@ -121,14 +121,14 @@ class TestPackUnpack:
 
     def test_round_trip_through_bytes(self):
         spectra = self.make_spectra(5)
-        raw = write_container(pack_sparse_file(spectra), "F64")
+        raw = write_container(pack_sparse_file(spectra))
         back = unpack_sparse_file(read_container(raw))
         assert sorted(back, key=lambda s: s.name) == sorted(
             spectra, key=lambda s: s.name
         )
 
     def test_on_disk_dtypes(self):
-        raw = write_container(pack_sparse_file(self.make_spectra(1)), "F64")
+        raw = write_container(pack_sparse_file(self.make_spectra(1)))
         f = read_container(raw)
         assert f.tensor("layer.0.query.spectral_indices").dtype == "F64"
         assert f.tensor("layer.0.query.spectral_values").dtype == "F32"
@@ -148,6 +148,14 @@ class TestPackUnpack:
         meta = dict(f.metadata)
         meta["transform"] = "dft-v9"
         with pytest.raises(NotSpectralFile):
+            unpack_sparse_file(AdapterFile(tensors=f.tensors, metadata=meta))
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-5", "1e9"])
+    def test_k_percent_outside_domain(self, bad):
+        f = pack_sparse_file(self.make_spectra(1))
+        meta = dict(f.metadata)
+        meta["k_percent"] = bad
+        with pytest.raises(CorruptSparse):
             unpack_sparse_file(AdapterFile(tensors=f.tensors, metadata=meta))
 
     def test_duplicate_names_rejected(self):
@@ -217,11 +225,6 @@ class TestPackUnpack:
         meta = {k: v for k, v in f.metadata.items() if not k.startswith("shape.")}
         with pytest.raises(CorruptSparse):
             unpack_sparse_file(AdapterFile(tensors=f.tensors, metadata=meta))
-
-    def test_user_metadata_preserved(self):
-        f = pack_sparse_file(self.make_spectra(1), meta={"source": "unit-test"})
-        assert f.metadata["source"] == "unit-test"
-        assert f.metadata["format"] == "spectral-sparse-v1"
 
 
 class TestStorageReport:
