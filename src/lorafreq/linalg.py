@@ -4,6 +4,12 @@ Everything here is float64 and immutable. ``matmul`` accumulates in a fixed
 row-major, left-to-right order so repeated runs are bit-identical; ``svd``
 is a one-sided Jacobi decomposition with a Gram-matrix cache, accurate to
 well below the 1e-9 tolerances the spectral pipeline relies on.
+
+The Jacobi sweeps use the round-robin (parallel) ordering: a sweep over n
+columns is n - 1 rounds (n for odd n) of floor(n/2) disjoint pairs, so every
+pair meets once per sweep and one round's rotations touch different rows.
+Each round rotates all of its pairs at once with vectorised row operations
+instead of one pair at a time (Golub & Van Loan, Matrix Computations, 8.6).
 """
 
 from __future__ import annotations
@@ -158,6 +164,7 @@ def _jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     work = a.T.copy(order="C")
     vt = np.eye(n)
 
+    rounds = _round_robin(n)
     residual = 0.0
     for _ in range(MAX_SWEEPS):
         gram = work @ work.T
@@ -179,19 +186,16 @@ def _jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if residual <= ORTHO_TOL:
             break
 
-        scale = np.sqrt(np.outer(diag, diag))
-        p_idx, q_idx = np.nonzero(
-            np.triu(np.abs(gram) > ORTHO_TOL * scale, k=1)
-        )
-        for p, q in zip(p_idx.tolist(), q_idx.tolist()):
+        for p, q in rounds:
             alpha = gram[p, p]
             beta = gram[q, q]
             gamma = gram[p, q]
-            if alpha <= 0.0 or beta <= 0.0:
+            bound = ORTHO_TOL * np.sqrt(np.abs(alpha * beta))
+            live = (alpha > 0.0) & (beta > 0.0) & (np.abs(gamma) > bound)
+            if not live.any():
                 continue
-            if abs(gamma) <= ORTHO_TOL * np.sqrt(alpha * beta):
-                continue
-            c, s = _rotation(alpha, beta, gamma)
+            p, q = p[live], q[live]
+            c, s = _rotation(alpha[live], beta[live], gamma[live])
             _rotate_rows(work, p, q, c, s)
             _rotate_rows(vt, p, q, c, s)
             # Keep the Gram cache consistent: G' = J^T G J.
@@ -241,20 +245,52 @@ def _max_defect(gram: np.ndarray, diag: np.ndarray) -> float:
     return float(vals.max()) if vals.size else 0.0
 
 
-def _rotation(alpha: float, beta: float, gamma: float) -> tuple[float, float]:
-    """Jacobi rotation (c, s) zeroing the (p, q) Gram entry."""
+def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """One sweep for n columns as rounds of disjoint pairs (p, q), p < q.
+
+    Circle method: slot 0 stays put while the other slots turn one step per
+    round, so every pair meets exactly once in n - 1 rounds (n even). An odd
+    n gets a bye slot, and the column facing it sits that round out.
+    """
+    slots = list(range(n)) + ([-1] if n % 2 else [])
+    size = len(slots)
+    rounds = []
+    for _ in range(size - 1):
+        pairs = sorted(
+            (min(x, y), max(x, y))
+            for x, y in zip(slots[: size // 2], reversed(slots[size // 2 :]))
+            if x >= 0 and y >= 0
+        )
+        if pairs:
+            p, q = np.array(pairs, dtype=np.intp).T
+            rounds.append((p, q))
+        slots = [slots[0], slots[-1], *slots[1:-1]]
+    return rounds
+
+
+def _rotation(
+    alpha: np.ndarray, beta: np.ndarray, gamma: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Jacobi rotations (c, s) zeroing each pair's (p, q) Gram entry.
+
+    t = sign(zeta) / (|zeta| + sqrt(1 + zeta^2)), taking sign(0) as +1; the
+    form has no branch that divides by zero.
+    """
     zeta = (beta - alpha) / (2.0 * gamma)
-    if zeta >= 0.0:
-        t = 1.0 / (zeta + np.sqrt(1.0 + zeta * zeta))
-    else:
-        t = -1.0 / (-zeta + np.sqrt(1.0 + zeta * zeta))
+    sign = np.where(zeta >= 0.0, 1.0, -1.0)
+    t = sign / (np.abs(zeta) + np.sqrt(1.0 + zeta * zeta))
     c = 1.0 / np.sqrt(1.0 + t * t)
-    return float(c), float(t * c)
+    return c, t * c
 
 
-def _rotate_rows(arr: np.ndarray, p: int, q: int, c: float, s: float) -> None:
-    row_p = arr[p].copy()
-    row_q = arr[q].copy()
+def _rotate_rows(
+    arr: np.ndarray, p: np.ndarray, q: np.ndarray, c: np.ndarray, s: np.ndarray
+) -> None:
+    """Rotate rows p[i] and q[i] of arr by (c[i], s[i]); the pairs are disjoint."""
+    row_p = arr[p]
+    row_q = arr[q]
+    c = c[:, None]
+    s = s[:, None]
     arr[p] = c * row_p - s * row_q
     arr[q] = s * row_p + c * row_q
 

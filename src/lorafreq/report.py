@@ -28,7 +28,7 @@ from .analysis import (
 from .container import AdapterFile, LoraPair, merge_delta, pair_lora
 from .dct import dct2
 from .errors import DegenerateInput, ZeroSpectrum
-from .stats import svd_dct_correlate, svd_k90
+from .stats import _factored_svd_k90, svd_dct_correlate
 
 try:
     TOOL_VERSION = metadata.version("lorafreq")
@@ -174,13 +174,17 @@ def correlate_report(
     scale_applied: float,
     threads: int | None,
 ) -> dict:
-    """SVD-vs-DCT k90 correlation across a container's non-zero matrices."""
+    """SVD-vs-DCT k90 correlation across a container's non-zero matrices.
+
+    The SVD side works on each pair's factors (stats._factored_svd_k90), so
+    its Jacobi sees an r x r core rather than the m x n update.
+    """
 
     def one(pair: LoraPair) -> tuple[str, float, float]:
-        delta = merge_delta(pair)
         # The DCT side first, so its energy alone decides a zero update.
-        dct_value = dct_k90(delta).k90_percent
-        return pair.prefix, svd_k90(delta), dct_value
+        dct_value = dct_k90(merge_delta(pair)).k90_percent
+        svd_value = _factored_svd_k90(pair.b_matrix, pair.a_matrix)
+        return pair.prefix, svd_value, dct_value
 
     rows = map_matrices(one, pairs, threads)
     if len(rows) < 4:

@@ -2,13 +2,21 @@
 
 from __future__ import annotations
 
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from lorafreq.errors import ShapeMismatch
-from lorafreq.linalg import Matrix, frobenius_norm, matmul, svd
+from lorafreq.linalg import (
+    Matrix,
+    _round_robin,
+    frobenius_norm,
+    matmul,
+    svd,
+)
 
 
 def matmul_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -257,3 +265,62 @@ class TestSvd:
     def test_rank_hint(self):
         res = svd(Matrix(np.diag([2.0, 1.0, 0.0])))
         assert res.rank_hint == 2
+
+
+class TestRoundRobin:
+    @pytest.mark.parametrize("n", [*range(1, 10), 128])
+    def test_every_pair_once_in_disjoint_rounds(self, n):
+        seen = []
+        for p, q in _round_robin(n):
+            assert p.shape == q.shape
+            assert np.all(p < q)
+            members = np.concatenate([p, q]).tolist()
+            assert len(members) == len(set(members)), "index repeated in a round"
+            seen.extend(zip(p.tolist(), q.tolist()))
+        assert sorted(seen) == list(itertools.combinations(range(n), 2))
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 9])
+    def test_round_count_and_width(self, n):
+        rounds = _round_robin(n)
+        # An odd n takes one extra round, because a bye idles a column.
+        assert len(rounds) == (n - 1 if n % 2 == 0 else n)
+        assert all(p.size == n // 2 for p, _ in rounds)
+
+
+class TestSvdWarningFree:
+    """Degenerate inputs run without a single floating-point warning."""
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            np.zeros((5, 4)),
+            # Rotations leave the dropped columns' Gram diagonal a hair below 0.
+            np.outer(
+                np.random.default_rng(47).standard_normal(8),
+                np.random.default_rng(48).standard_normal(5),
+            ),
+            np.repeat(np.array([[1.0], [2.0], [-3.0], [0.5]]), 4, axis=1),
+            np.eye(6)[:, :4] * np.array([4.0, 3.0, 2.0, 1.0]),
+            # |zeta| ~ 1e12: 1 / (zeta + sqrt(1 + zeta^2)) would divide by 0.
+            np.diag([1e4, 1.0, 3.0]) + 1e-8,
+            np.array([[3.0, -4.0, 1.0, 2.0, 0.0]]),
+            np.array([[3.0], [-4.0], [1.0], [2.0], [0.0]]),
+        ],
+        ids=[
+            "zero",
+            "rank1",
+            "duplicate-cols",
+            "orthogonal-cols",
+            "nearly-orthogonal-cols",
+            "1xn",
+            "nx1",
+        ],
+    )
+    def test_no_warnings(self, a):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = svd(Matrix(a))
+        want = np.linalg.svd(a, compute_uv=False)
+        np.testing.assert_allclose(res.singular_values, want, atol=1e-12)
+        assert_valid_svd(a, atol=1e-12)
+

@@ -8,9 +8,14 @@ import mpmath
 import numpy as np
 import pytest
 
+from lorafreq import linalg, stats
+from lorafreq.container import merge_delta, pair_lora
 from lorafreq.errors import DegenerateInput, ZeroSpectrum
-from lorafreq.linalg import Matrix
+from lorafreq.fixtures import generate_set, ramp_specs
+from lorafreq.linalg import Matrix, svd
+from lorafreq.report import correlate_report
 from lorafreq.stats import (
+    _factored_svd_k90,
     pearson,
     pearson_p_two_sided,
     spearman,
@@ -185,6 +190,94 @@ class TestSvdK90:
         rng = np.random.default_rng(116)
         a = rng.standard_normal((10, 10))
         assert svd_k90(Matrix(a)) == svd_k90(Matrix(1e3 * a))
+
+    @pytest.mark.parametrize("fraction", [0.0, 1.5])
+    def test_bad_fraction_rejected_before_svd(self, fraction, monkeypatch):
+        def no_svd(_):
+            raise AssertionError("svd ran before the argument check")
+
+        monkeypatch.setattr(stats, "svd", no_svd)
+        with pytest.raises(ValueError):
+            svd_k90(Matrix(np.eye(3)), target_fraction=fraction)
+
+
+# name: (m, n, r); r None is dense_gaussian's pair, the update beside eye().
+_FACTOR_SHAPES = {
+    "tall": (40, 25, 6),
+    "wide": (25, 40, 6),
+    "rank-1": (30, 20, 1),
+    "full-rank": (30, 20, 20),
+    "identity-tall": (36, 24, None),
+    "identity-wide": (24, 36, None),
+}
+
+
+def _factor_pair(name: str) -> tuple[np.ndarray, np.ndarray]:
+    """(B, A) of the named shape; B @ A is the update."""
+    m, n, r = _FACTOR_SHAPES[name]
+    rng = np.random.default_rng(118)
+    if r is None:
+        delta = rng.standard_normal((m, n))
+        return (delta, np.eye(n)) if m >= n else (np.eye(m), delta)
+    return rng.standard_normal((m, r)), rng.standard_normal((r, n))
+
+
+class TestFactoredSvd:
+    """The r x r core stands in for the m x n update it factors."""
+
+    @pytest.mark.parametrize("shape", list(_FACTOR_SHAPES))
+    def test_core_spectrum_matches_dense(self, shape, monkeypatch):
+        cores = []
+
+        def spy(core):
+            cores.append(core)
+            return svd(core)
+
+        monkeypatch.setattr(stats, "svd", spy)
+        b, a = _factor_pair(shape)
+        r = b.shape[1]
+        _factored_svd_k90(Matrix(b), Matrix(a))
+        assert [core.shape for core in cores] == [(r, r)]
+        got = svd(cores[0]).singular_values
+        want = np.linalg.svd(b @ a, compute_uv=False)[:r]
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10 * want[0])
+
+    @pytest.mark.parametrize("shape", list(_FACTOR_SHAPES))
+    def test_k90_matches_dense(self, shape):
+        b, a = _factor_pair(shape)
+        assert _factored_svd_k90(Matrix(b), Matrix(a)) == svd_k90(Matrix(b @ a))
+
+    def test_correlate_matches_dense_svd_k90(self):
+        specs = ramp_specs("mixed", 64, 64, 12, seed=119, noise_level=0.3)
+        pairs = pair_lora(generate_set(specs)).pairs
+        report = correlate_report("in.st", pairs, 1.0, threads=1)
+        got = [svd_value for _, svd_value, _ in report["per_matrix"]]
+        assert got == [svd_k90(merge_delta(pair)) for pair in pairs]
+
+    @pytest.mark.parametrize("zero", ["b", "a"])
+    def test_zero_factor(self, zero):
+        b, a = _factor_pair("tall")
+        if zero == "b":
+            b = np.zeros_like(b)
+        else:
+            a = np.zeros_like(a)
+        with pytest.raises(ZeroSpectrum):
+            _factored_svd_k90(Matrix(b), Matrix(a))
+
+    def test_correlate_never_decomposes_the_update(self, monkeypatch):
+        """Ranks 1..6 on 256^2: the Jacobi sees cores of at most 6 x 6."""
+        shapes = []
+        jacobi = linalg._jacobi
+
+        def spy(a):
+            shapes.append(a.shape)
+            return jacobi(a)
+
+        monkeypatch.setattr(linalg, "_jacobi", spy)
+        specs = ramp_specs("mixed", 256, 256, 6, seed=120, noise_level=0.3)
+        pairs = pair_lora(generate_set(specs)).pairs
+        correlate_report("in.st", pairs, 1.0, threads=1)
+        assert sorted(shapes) == [(r, r) for r in range(1, 7)]
 
 
 class TestSvdDctCorrelate:
