@@ -2,11 +2,13 @@
 
 Exit codes: 0 success, 1 usage or invalid fixture spec, 2 unreadable or
 malformed container, 3 no adapter pairs found, 4 every update matrix is
-zero, 5 not-spectral or corrupt sparse input, 6 degenerate statistics.
-Diagnostics go to stderr; stdout carries only the storage accounting.
+zero, 5 not-spectral or corrupt sparse input, 6 degenerate statistics or
+an SVD that does not converge. Diagnostics go to stderr; stdout carries
+only the storage accounting.
 
-Every output file is written to a temp name in the target directory and
-renamed into place, so interrupted runs never leave truncated files.
+Every output file is written to a unique temp file in the target directory,
+synced and renamed into place, so interrupted or concurrent runs never leave
+truncated files.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import io
 import json
 import os
 import re
+import tempfile
 from pathlib import Path
 
 import click
@@ -36,6 +39,7 @@ from .errors import (
     DegenerateInput,
     InvalidSpec,
     LorafreqError,
+    NoConvergence,
     NotSpectralFile,
     ShapeMismatch,
     ZeroSpectrum,
@@ -43,6 +47,10 @@ from .errors import (
 from .fixtures import KINDS, FixtureSpec, generate_set, ramp_specs, repeat_specs
 
 _MAX_SEED = 2**64 - 1
+# mkstemp creates files 0600; outputs get the mode open() would give them.
+# Read once at import, because reading the umask briefly changes it.
+_UMASK = os.umask(0o022)
+os.umask(_UMASK)
 
 
 class _NoPairsError(Exception):
@@ -56,6 +64,7 @@ _EXIT_BY_TYPE = (
     (NotSpectralFile, 5),
     (CorruptSparse, 5),
     (DegenerateInput, 6),
+    (NoConvergence, 6),
     (ContainerError, 2),
     (ShapeMismatch, 2),
 )
@@ -363,9 +372,19 @@ def _csv_text(header, rows) -> str:
 
 def _write_bytes(path: Path, data: bytes) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(
+        dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            os.fchmod(fh.fileno(), 0o666 & ~_UMASK)
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _write_text(path: Path, text: str) -> None:

@@ -181,16 +181,24 @@ def unpack_sparse_file(file: AdapterFile) -> list[SparseSpectrum]:
                 raise CorruptSparse(
                     f"tensor {t.name!r} must be 1xc, got shape {t.shape}"
                 )
-        raw_idx = idx_t.data
-        if raw_idx.size and (
-            np.any(raw_idx != np.floor(raw_idx)) or np.any(raw_idx < 0)
-        ):
-            raise CorruptSparse(f"spectrum {base!r} has non-integer indices")
+        # Checked before the casts: an out-of-range float wraps in the int64
+        # cast and overflows in the float32 one. NaN fails every comparison.
+        raw_idx, raw_val = idx_t.data, val_t.data
+        valid = (raw_idx >= 0) & (raw_idx < 2**32) & (raw_idx == np.floor(raw_idx))
+        if not valid.all():
+            raise CorruptSparse(
+                f"spectrum {base!r} has indices that are not integers in [0, 2^32)"
+            )
+        if not np.all(np.abs(raw_val) <= np.finfo(np.float32).max):
+            raise CorruptSparse(
+                f"spectrum {base!r} has values that are non-finite or "
+                "outside binary32 range"
+            )
         s = SparseSpectrum(
             name=base,
             shape=shape,
             flat_indices=raw_idx.astype(np.int64),
-            values=val_t.data.astype(np.float32),
+            values=raw_val.astype(np.float32),
             k_percent=k_percent,
         )
         _validate(s)

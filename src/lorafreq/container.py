@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    ContainerError,
     DuplicateName,
     MalformedHeader,
     OffsetError,
@@ -57,7 +58,10 @@ class TensorRecord:
             raise ShapeMismatch(
                 f"tensor {self.name!r} has shape {self.shape}, expected 2-D"
             )
-        return Matrix(self.data.reshape(self.shape))
+        try:
+            return Matrix(self.data.reshape(self.shape))
+        except ValueError as exc:  # a zero dimension or a NaN/Inf entry
+            raise ContainerError(f"tensor {self.name!r}: {exc}") from exc
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TensorRecord):

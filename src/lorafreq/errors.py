@@ -36,7 +36,7 @@ class ShapeMismatch(LorafreqError):
 
 
 class NoConvergence(LorafreqError):
-    """Iteration hit its sweep cap with the residual still too large."""
+    """A decomposition failed to converge (LAPACK reported no convergence)."""
 
     def __init__(self, message: str, residual: float):
         super().__init__(message)

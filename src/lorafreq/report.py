@@ -177,7 +177,7 @@ def correlate_report(
     """SVD-vs-DCT k90 correlation across a container's non-zero matrices.
 
     The SVD side works on each pair's factors (stats._factored_svd_k90), so
-    its Jacobi sees an r x r core rather than the m x n update.
+    it decomposes an r x r core rather than the m x n update.
     """
 
     def one(pair: LoraPair) -> tuple[str, float, float]:

@@ -2,13 +2,16 @@
 
 import json
 import math
+import os
+import sys
+import threading
 from importlib import resources
 
 import jsonschema
 import numpy as np
 import pytest
 
-from lorafreq.cli import main
+from lorafreq.cli import _write_bytes, main
 from lorafreq.container import (
     AdapterFile,
     TensorRecord,
@@ -326,6 +329,103 @@ class TestCorrelate:
     def test_identical_matrices_exit_6(self, tmp_path):
         src = synth(tmp_path, kind="smooth_lowrank", count=5, **{"noise-level": 0})
         assert main(["correlate", str(src), "--out", str(tmp_path / "c.json")]) == 6
+
+    def test_svd_no_convergence_exits_6(self, tmp_path, monkeypatch, capsys):
+        src = synth(tmp_path, count=4, **{"rank-ramp": True})
+        capsys.readouterr()
+
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        out = tmp_path / "c.json"
+        assert main(["correlate", str(src), "--out", str(out), "--threads", "1"]) == 6
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+
+class TestBadFactors:
+    """A factor with a NaN entry or a zero dimension is a malformed container."""
+
+    @pytest.fixture(params=["nan-f32", "zero-dim"])
+    def src(self, request, tmp_path):
+        rng = np.random.default_rng(13)
+        a, b = rng.standard_normal((2, 6)), rng.standard_normal((6, 2))
+        good = [
+            TensorRecord("layer.0.query.lora_A.weight", "F64", (2, 6), a),
+            TensorRecord("layer.0.query.lora_B.weight", "F64", (6, 2), b),
+        ]
+        if request.param == "nan-f32":
+            a_bad = a.copy()
+            a_bad[1, 3] = np.nan
+            bad = TensorRecord("layer.1.query.lora_A.weight", "F32", (2, 6), a_bad)
+        else:
+            bad = TensorRecord("layer.1.query.lora_A.weight", "F32", (0, 6), [])
+        tensors = good + [
+            bad,
+            TensorRecord("layer.1.query.lora_B.weight", "F64", (6, 2), b),
+        ]
+        path = tmp_path / "bad.st"
+        path.write_bytes(write_container(AdapterFile(tensors=tuple(tensors))))
+        return path
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["analyze"], ["mask", "--k", "10"], ["sweep", "--k-list", "10"], ["correlate"]],
+        ids=["analyze", "mask", "sweep", "correlate"],
+    )
+    def test_exits_2_naming_the_tensor(self, src, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert main([argv[0], str(src), *argv[1:], "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "layer.1.query.lora_A.weight" in err
+
+
+class TestWriteBytes:
+    def test_concurrent_writers_to_one_path(self, tmp_path):
+        path = tmp_path / "out" / "report.json"
+        payloads = [bytes([i]) * (4096 * (i + 1)) for i in range(4)]
+        errors = []
+
+        def writer(data):
+            try:
+                for _ in range(50):
+                    _write_bytes(path, data)
+            except Exception as exc:  # collected, asserted empty below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=writer, args=(p,)) for p in payloads]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert path.read_bytes() in payloads
+        assert [p.name for p in path.parent.iterdir()] == ["report.json"]
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        def fail(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError):
+            _write_bytes(tmp_path / "out.st", b"x")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_mode_follows_umask(self, tmp_path):
+        path = tmp_path / "out.st"
+        _write_bytes(path, b"x")
+        umask = os.umask(0o022)
+        os.umask(umask)
+        assert path.stat().st_mode & 0o777 == 0o666 & ~umask
 
 
 class TestZeroUpdates:

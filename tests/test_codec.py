@@ -14,7 +14,12 @@ from lorafreq.codec import (
     storage_report,
     unpack_sparse_file,
 )
-from lorafreq.container import AdapterFile, read_container, write_container
+from lorafreq.container import (
+    AdapterFile,
+    TensorRecord,
+    read_container,
+    write_container,
+)
 from lorafreq.dct import dct2
 from lorafreq.errors import (
     CorruptSparse,
@@ -33,6 +38,20 @@ def sparse(indices, values, shape=(2, 2), k=50.0, name="s") -> SparseSpectrum:
         values=np.asarray(values, dtype=np.float32),
         k_percent=k,
     )
+
+
+def tampered(f: AdapterFile, suffix: str, pos: int, value: float, dtype=None):
+    """f with entry pos of its `suffix` tensor set to value, read back from
+    bytes; dtype re-tags that tensor, so F64 can carry values F32 cannot."""
+    tensors = []
+    for t in f.tensors:
+        if t.name.endswith(suffix):
+            data = t.data.copy()
+            data[pos] = value
+            t = TensorRecord(t.name, dtype or t.dtype, t.shape, data)
+        tensors.append(t)
+    raw = write_container(AdapterFile(tensors=tuple(tensors), metadata=f.metadata))
+    return read_container(raw)
 
 
 class TestEncodeSparse:
@@ -183,8 +202,6 @@ class TestPackUnpack:
             unpack_sparse_file(trimmed)
 
     def test_stray_tensor_rejected(self):
-        from lorafreq.container import TensorRecord
-
         f = pack_sparse_file(self.make_spectra(1))
         extra = TensorRecord("weird", "F64", (1,), [1.0])
         with pytest.raises(CorruptSparse):
@@ -193,32 +210,34 @@ class TestPackUnpack:
             )
 
     def test_tampered_indices_rejected(self):
-        from lorafreq.container import TensorRecord
-
         f = pack_sparse_file(self.make_spectra(1))
-        tampered = []
-        for t in f.tensors:
-            if t.name.endswith(".spectral_indices"):
-                data = t.data.copy()
-                data[1] = data[0]  # duplicate index
-                t = TensorRecord(t.name, t.dtype, t.shape, data)
-            tampered.append(t)
-        with pytest.raises(CorruptSparse):
-            unpack_sparse_file(AdapterFile(tensors=tuple(tampered), metadata=f.metadata))
+        first = float(f.tensor("layer.0.query.spectral_indices").data[0])
+        with pytest.raises(CorruptSparse):  # duplicate index
+            unpack_sparse_file(tampered(f, ".spectral_indices", 1, first))
 
     def test_non_integer_indices_rejected(self):
-        from lorafreq.container import TensorRecord
-
         f = pack_sparse_file(self.make_spectra(1))
-        tampered = []
-        for t in f.tensors:
-            if t.name.endswith(".spectral_indices"):
-                data = t.data.copy()
-                data[0] = 0.5
-                t = TensorRecord(t.name, t.dtype, t.shape, data)
-            tampered.append(t)
         with pytest.raises(CorruptSparse):
-            unpack_sparse_file(AdapterFile(tensors=tuple(tampered), metadata=f.metadata))
+            unpack_sparse_file(tampered(f, ".spectral_indices", 0, 0.5))
+
+    @pytest.mark.parametrize(
+        "suffix, value, dtype",
+        [
+            # Either index wraps to INT64_MIN in an int64 cast, and the
+            # strictly-increasing check's np.diff then overflows and passes.
+            (".spectral_indices", 1e20, None),
+            (".spectral_indices", float("inf"), None),
+            (".spectral_values", float("nan"), None),
+            (".spectral_values", float("inf"), None),
+            # Beyond binary32 range, so it would overflow the float32 cast.
+            (".spectral_values", 1e300, "F64"),
+        ],
+        ids=["index-1e20", "index-inf", "value-nan", "value-inf", "value-1e300"],
+    )
+    def test_hostile_entries_rejected(self, suffix, value, dtype):
+        f = pack_sparse_file(self.make_spectra(1))
+        with pytest.raises(CorruptSparse):
+            unpack_sparse_file(tampered(f, suffix, -1, value, dtype))
 
     def test_missing_shape_metadata(self):
         f = pack_sparse_file(self.make_spectra(1))

@@ -1,18 +1,16 @@
-"""Tests for dense matrix ops and the Jacobi SVD."""
+"""Tests for dense matrix ops and the SVD."""
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 
 import numpy as np
 import pytest
 
-from lorafreq.errors import ShapeMismatch
+from lorafreq.errors import NoConvergence, ShapeMismatch
 from lorafreq.linalg import (
     Matrix,
-    _round_robin,
     frobenius_norm,
     matmul,
     svd,
@@ -266,25 +264,13 @@ class TestSvd:
         res = svd(Matrix(np.diag([2.0, 1.0, 0.0])))
         assert res.rank_hint == 2
 
+    def test_lapack_failure_raises_no_convergence(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
 
-class TestRoundRobin:
-    @pytest.mark.parametrize("n", [*range(1, 10), 128])
-    def test_every_pair_once_in_disjoint_rounds(self, n):
-        seen = []
-        for p, q in _round_robin(n):
-            assert p.shape == q.shape
-            assert np.all(p < q)
-            members = np.concatenate([p, q]).tolist()
-            assert len(members) == len(set(members)), "index repeated in a round"
-            seen.extend(zip(p.tolist(), q.tolist()))
-        assert sorted(seen) == list(itertools.combinations(range(n), 2))
-
-    @pytest.mark.parametrize("n", [2, 3, 8, 9])
-    def test_round_count_and_width(self, n):
-        rounds = _round_robin(n)
-        # An odd n takes one extra round, because a bye idles a column.
-        assert len(rounds) == (n - 1 if n % 2 == 0 else n)
-        assert all(p.size == n // 2 for p, _ in rounds)
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        with pytest.raises(NoConvergence):
+            svd(Matrix(np.eye(3)))
 
 
 class TestSvdWarningFree:

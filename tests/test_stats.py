@@ -8,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from lorafreq import linalg, stats
+from lorafreq import stats
 from lorafreq.container import merge_delta, pair_lora
 from lorafreq.errors import DegenerateInput, ZeroSpectrum
 from lorafreq.fixtures import generate_set, ramp_specs
@@ -265,15 +265,14 @@ class TestFactoredSvd:
             _factored_svd_k90(Matrix(b), Matrix(a))
 
     def test_correlate_never_decomposes_the_update(self, monkeypatch):
-        """Ranks 1..6 on 256^2: the Jacobi sees cores of at most 6 x 6."""
+        """Ranks 1..6 on 256^2: the SVD sees cores of at most 6 x 6."""
         shapes = []
-        jacobi = linalg._jacobi
 
-        def spy(a):
-            shapes.append(a.shape)
-            return jacobi(a)
+        def spy(core):
+            shapes.append(core.shape)
+            return svd(core)
 
-        monkeypatch.setattr(linalg, "_jacobi", spy)
+        monkeypatch.setattr(stats, "svd", spy)
         specs = ramp_specs("mixed", 256, 256, 6, seed=120, noise_level=0.3)
         pairs = pair_lora(generate_set(specs)).pairs
         correlate_report("in.st", pairs, 1.0, threads=1)
