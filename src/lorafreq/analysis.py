@@ -127,15 +127,42 @@ def k_for_energy(curve: EnergyCurve, target_fraction: float = 0.9) -> SpectralSu
 def topk_mask(f: Spectrum, k_percent: float) -> MaskResult:
     """Retain the k_count = max(1, ceil(k% of m*n)) largest-|F| coefficients.
 
-    Ties in |F| are broken toward the smaller row-major flat index, which
-    makes masks nested across k and deterministic across platforms. A
-    zero-energy spectrum has nothing to select and raises ZeroSpectrum.
+    A partition finds the k_count-th largest |F|; every larger coefficient is
+    kept, and equal ones fill the remaining slots in ascending flat-index
+    order, so masks are nested across k and deterministic across platforms.
+    A zero-energy spectrum has nothing to select and raises ZeroSpectrum.
     """
     if not 0.0 < k_percent <= 100.0:
         raise ValueError(f"k_percent must be in (0, 100], got {k_percent}")
     flat = f.coefficients.data
-    order, total = _ranking(flat)
-    return _prefix_mask(flat, order, total, k_percent)
+    total = float(np.sum(flat**2))
+    if total == 0.0:
+        raise ZeroSpectrum("zero-energy spectrum has no top-k selection")
+    total_count = flat.size
+    k_count = mask_count(k_percent, total_count)
+
+    magnitude = np.abs(flat)
+    cut = np.partition(magnitude, total_count - k_count)[total_count - k_count]
+    keep = magnitude > cut
+    tied = np.flatnonzero(magnitude == cut)
+    keep[tied[: k_count - int(np.count_nonzero(keep))]] = True
+    chosen = np.flatnonzero(keep).astype(np.int64, copy=False)
+    values = flat[chosen]
+
+    if k_count == total_count:
+        fraction = 1.0
+    else:
+        fraction = float(np.sum(values**2)) / total
+        fraction = min(1.0, max(0.0, fraction))
+    chosen.setflags(write=False)
+    values.setflags(write=False)
+    return MaskResult(
+        retained_flat_indices=chosen,
+        retained_values=values,
+        retained_energy_fraction=fraction,
+        k_percent_requested=float(k_percent),
+        k_count=k_count,
+    )
 
 
 def mask_count(k_percent: float, total_count: int) -> int:
@@ -158,20 +185,15 @@ def reconstruct(f: Spectrum, mask: MaskResult) -> Matrix:
 
 
 def sweep(delta: Matrix, k_values: list[float]) -> list[SweepPoint]:
-    """Mask/reconstruct metrics for each k, sharing one DCT and one magnitude
-    ordering, whose prefix for the largest k holds every k's mask."""
+    """Mask/reconstruct metrics for each k, sharing one DCT."""
     for k in k_values:
         if not 0.0 < k <= 100.0:
             raise ValueError(f"k values must be in (0, 100], got {k}")
     f = dct2(delta)
-    flat = f.coefficients.data
-    order, total = _ranking(flat)
-    order = order[: mask_count(max(k_values), flat.size)].copy()
     norm = math.sqrt(float(np.sum(delta.array**2)))
     points = []
     for k in k_values:
-        mask = _prefix_mask(flat, order, total, k)
-        # No reconstruction outlives its own k.
+        mask = topk_mask(f, k)
         sq_error = np.sum((delta.array - reconstruct(f, mask).array) ** 2)
         err = math.sqrt(float(sq_error)) / norm
         points.append(
@@ -183,42 +205,6 @@ def sweep(delta: Matrix, k_values: list[float]) -> list[SweepPoint]:
             )
         )
     return points
-
-
-def _ranking(flat: np.ndarray) -> tuple[np.ndarray, float]:
-    """Flat indices by descending |F|, ties toward the lower flat index, and
-    the total energy. A spectrum whose squares are all 0 raises ZeroSpectrum.
-    """
-    total = float(np.sum(flat**2))
-    if total == 0.0:
-        raise ZeroSpectrum("zero-energy spectrum has no top-k selection")
-    return np.argsort(-np.abs(flat), kind="stable"), total
-
-
-def _prefix_mask(
-    flat: np.ndarray, order: np.ndarray, total: float, k_percent: float
-) -> MaskResult:
-    """The k% mask formed by the leading entries of a magnitude ordering."""
-    total_count = flat.size
-    k_count = mask_count(k_percent, total_count)
-    chosen = np.sort(order[:k_count])
-    values = flat[chosen].copy()
-
-    if k_count == total_count:
-        fraction = 1.0
-    else:
-        fraction = float(np.sum(values**2)) / total
-        fraction = min(1.0, max(0.0, fraction))
-    chosen = chosen.astype(np.int64)
-    chosen.setflags(write=False)
-    values.setflags(write=False)
-    return MaskResult(
-        retained_flat_indices=chosen,
-        retained_values=values,
-        retained_energy_fraction=fraction,
-        k_percent_requested=float(k_percent),
-        k_count=k_count,
-    )
 
 
 def dct_k90(delta: Matrix, target_fraction: float = 0.9) -> SpectralSummary:

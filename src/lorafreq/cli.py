@@ -1,10 +1,10 @@
 """Command-line surface: analyze | mask | decompress | sweep | correlate | synth.
 
 Exit codes: 0 success, 1 usage or invalid fixture spec, 2 unreadable or
-malformed container, 3 no adapter pairs found, 4 every update matrix is
-zero, 5 not-spectral or corrupt sparse input, 6 degenerate statistics or
-an SVD that does not converge. Diagnostics go to stderr; stdout carries
-only the storage accounting.
+malformed container (bad alpha/r metadata and overflowing updates too), 3 no
+adapter pairs found, 4 every update matrix is zero, 5 not-spectral or corrupt
+sparse input, 6 degenerate statistics or an SVD that does not converge.
+Diagnostics go to stderr; stdout carries only the storage accounting.
 
 Every output file is written to a unique temp file in the target directory,
 synced and renamed into place, so interrupted or concurrent runs never leave
@@ -108,14 +108,13 @@ def cli():
 def cmd_analyze(input, out, energy_target, scale, threads):
     """Report spectral energy concentration per adapter matrix."""
     pairs, applied = _load_pairs(input, scale)
-    rows_curves = report.analysis_rows(pairs, energy_target, threads)
-    doc = report.analysis_report(input, pairs, rows_curves, applied)
+    rows_points = report.analysis_rows(pairs, energy_target, threads)
+    doc = report.analysis_report(input, pairs, rows_points, applied)
 
     out_dir = Path(out)
     _write_text(out_dir / "report.json", _json_text(doc))
     combined: list[tuple] = []
-    for i, (pair, (row, curve)) in enumerate(zip(pairs, rows_curves)):
-        points = report.curve_points(curve)
+    for i, (pair, (_, points)) in enumerate(zip(pairs, rows_points)):
         if not points:
             click.echo(
                 f"warning: {pair.prefix} is a zero update; curve is empty",

@@ -29,6 +29,8 @@ from .linalg import Matrix, matmul
 DTYPE_WIDTHS = {"F16": 2, "F32": 4, "F64": 8}
 _NUMPY_DTYPES = {"F16": "<f2", "F32": "<f4", "F64": "<f8"}
 _LAYER_SEGMENT = re.compile(r"(?:^|\.)layers?\.(\d+)(?:\.|$)")
+# Cap on scale·||B||_F·||A||_F: update energies stay 2^24 below the binary64 max.
+_MAX_UPDATE_NORM = 2.0**500
 
 
 class TensorRecord:
@@ -127,6 +129,12 @@ class LoraPair:
             )
         if not (self.scale > 0.0 and math.isfinite(self.scale)):
             raise ValueError(f"pair {self.prefix!r}: scale must be positive")
+        # The bound covers dW and the unscaled B @ A the merge and the SVD form.
+        bound = max(self.scale, 1.0) * _norm(self.b_matrix) * _norm(self.a_matrix)
+        if not bound <= _MAX_UPDATE_NORM:
+            raise ContainerError(
+                f"pair {self.prefix!r}: update energy overflows at scale {self.scale:g}"
+            )
 
     @property
     def rank(self) -> int:
@@ -291,6 +299,12 @@ def merge_delta(pair: LoraPair) -> Matrix:
     return matmul(pair.b_matrix, pair.a_matrix).scaled(pair.scale)
 
 
+def _norm(m: Matrix) -> float:
+    """||m||_F without overflow: the entries are divided by the largest first."""
+    top = float(np.max(np.abs(m.array))) or 1.0
+    return top * math.sqrt(float(np.sum((m.array / top) ** 2)))
+
+
 def _reject_duplicate_keys(items):
     seen = set()
     for key, _ in items:
@@ -366,14 +380,13 @@ def _module_kind(prefix: str) -> str:
 
 
 def _scale_from_metadata(metadata: dict[str, str]) -> float:
-    if "alpha" not in metadata or "r" not in metadata:
+    alpha, rank = metadata.get("alpha"), metadata.get("r")
+    if alpha is None or rank is None:
         return 1.0
     try:
-        alpha = float(metadata["alpha"])
-        rank = float(metadata["r"])
-    except ValueError:
-        return 1.0
-    if rank == 0.0:
-        return 1.0
-    scale = alpha / rank
-    return scale if scale > 0.0 and math.isfinite(scale) else 1.0
+        scale = float(alpha) / float(rank)
+    except (ValueError, ZeroDivisionError):
+        scale = math.nan
+    if not (scale > 0.0 and math.isfinite(scale)):
+        raise MalformedHeader(f"alpha={alpha!r}, r={rank!r}: no finite merge scale > 0")
+    return scale

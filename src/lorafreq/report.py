@@ -74,10 +74,10 @@ def map_matrices(fn, items, threads: int | None) -> list:
 
 def analysis_rows(
     pairs: tuple[LoraPair, ...], energy_target: float, threads: int | None
-) -> list[tuple[dict, EnergyCurve]]:
-    """(report row, energy curve) per pair, in pair order; zero rows flagged."""
+) -> list[tuple[dict, list[tuple[float, float]]]]:
+    """(report row, thinned curve points) per pair, in order; zero rows flagged."""
 
-    def one(pair: LoraPair) -> tuple[dict, EnergyCurve]:
+    def one(pair: LoraPair) -> tuple[dict, list[tuple[float, float]]]:
         curve = energy_curve(dct2(merge_delta(pair)))
         row = {
             "prefix": pair.prefix,
@@ -93,7 +93,7 @@ def analysis_rows(
             summary = k_for_energy(curve, energy_target)
             row["k90_percent"] = summary.k90_percent
             row["coeff_count_90"] = summary.coeff_count_90
-        return row, curve
+        return row, curve_points(curve)
 
     return map_matrices(one, pairs, threads)
 
@@ -101,9 +101,10 @@ def analysis_rows(
 def analysis_report(
     input_path: str,
     pairs: tuple[LoraPair, ...],
-    rows_and_curves: list[tuple[dict, EnergyCurve]],
+    rows_and_curves: list[tuple[dict, object]],
     scale_applied: float,
 ) -> dict:
+    """The analysis report; only the row of each (row, curve) pair is read."""
     rows = [row for row, _ in rows_and_curves]
     live = [row["k90_percent"] for row in rows if not row["zero_flag"]]
     aggregate = {

@@ -10,6 +10,7 @@ import pytest
 from lorafreq.analysis import (
     MaskResult,
     SpectralSummary,
+    SweepPoint,
     dct_k90,
     energy_curve,
     k_for_energy,
@@ -19,8 +20,10 @@ from lorafreq.analysis import (
     sweep,
     topk_mask,
 )
+from lorafreq.container import merge_delta, pair_lora
 from lorafreq.dct import Spectrum, dct2
 from lorafreq.errors import ShapeMismatch, ZeroSpectrum
+from lorafreq.fixtures import FixtureSpec, generate
 from lorafreq.linalg import Matrix
 
 
@@ -207,6 +210,96 @@ class TestTopkMask:
         for scale in (0.0, 1e-170):
             with pytest.raises(ZeroSpectrum):
                 topk_mask(spectrum_of(np.full((3, 4), scale)), 50.0)
+
+
+def reference_selection(flat: np.ndarray, k_percent: float):
+    """(indices, values, fraction) of a stable descending-|F| sort's k% prefix."""
+    k_count = mask_count(k_percent, flat.size)
+    chosen = np.sort(np.argsort(-np.abs(flat), kind="stable")[:k_count])
+    values = flat[chosen]
+    if k_count == flat.size:
+        fraction = 1.0
+    else:
+        fraction = float(np.sum(values**2)) / float(np.sum(flat**2))
+        fraction = min(1.0, max(0.0, fraction))
+    return chosen, values, fraction
+
+
+def smooth_lowrank_delta(r: int) -> Matrix:
+    """64x96 smooth update whose spectrum is r^2 spikes and exact zeros."""
+    file = generate(FixtureSpec(kind="smooth_lowrank", m=64, n=96, r=r, seed=3))
+    return merge_delta(pair_lora(file).pairs[0])
+
+
+TIE_SPECTRA = {
+    "tie-run-straddles-cut": [[5.0, -4.0, 3.0, 3.0, -3.0, 3.0],
+                              [3.0, -3.0, 3.0, 1.0, 0.0, 2.0]],
+    "plus-minus-pairs": [[2.0, -2.0, 1.0, -1.0],
+                         [-1.0, 1.0, 2.0, -2.0],
+                         [0.5, -0.5, -2.0, 2.0]],
+    "signed-zeros": [[0.0, -0.0, 1.0], [-0.0, 0.0, -1.0], [0.0, 2.0, -0.0]],
+    "all-equal-magnitude": np.where(
+        np.random.default_rng(7).random((5, 9)) < 0.5, -2.5, 2.5
+    ),
+}
+ORACLE_K = [1e-9, 0.01, 1.0, 5.0, 10.0, 25.0, 50.0, 99.99, 100.0]
+
+
+class TestTopkOracle:
+    """topk_mask equals the prefix of a stable descending-|F| sort, exactly."""
+
+    def assert_matches_reference(self, f: Spectrum, k: float) -> MaskResult:
+        flat = f.coefficients.data
+        mask = topk_mask(f, k)
+        chosen, values, fraction = reference_selection(flat, k)
+        assert mask.retained_flat_indices.dtype == np.int64
+        assert np.array_equal(mask.retained_flat_indices, chosen)
+        assert mask.retained_values.tobytes() == values.tobytes()
+        assert mask.retained_energy_fraction == fraction
+        assert mask.k_count == chosen.size
+        return mask
+
+    @pytest.mark.parametrize("name", sorted(TIE_SPECTRA))
+    def test_every_count_on_tied_spectra(self, name):
+        f = spectrum_of(TIE_SPECTRA[name])
+        size = f.coefficients.data.size
+        for count in range(1, size + 1):
+            mask = self.assert_matches_reference(f, 100.0 * count / size)
+            assert mask.k_count == count
+
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_smooth_lowrank_exact_zero_tail(self, r):
+        f = dct2(smooth_lowrank_delta(r))
+        assert np.count_nonzero(f.coefficients.data == 0.0) >= 96
+        for k in ORACLE_K:
+            self.assert_matches_reference(f, k)
+
+    def test_gaussian_single_and_full(self):
+        f = dct2(Matrix(np.random.default_rng(95).standard_normal((24, 31))))
+        assert self.assert_matches_reference(f, 1e-9).k_count == 1
+        assert self.assert_matches_reference(f, 100.0).k_count == 24 * 31
+
+    @pytest.mark.parametrize(
+        "delta",
+        [
+            smooth_lowrank_delta(1),
+            smooth_lowrank_delta(2),
+            Matrix(np.full((6, 6), 3.0)),
+            Matrix(np.kron(np.ones((3, 3)), [[1.0, -1.0], [-1.0, 1.0]])),
+            Matrix(np.random.default_rng(96).standard_normal((20, 14))),
+        ],
+        ids=["smooth-r1", "smooth-r2", "constant", "checkerboard", "gaussian"],
+    )
+    def test_sweep_points_match_per_k_reference(self, delta):
+        f = dct2(delta)
+        flat = f.coefficients.data
+        norm = math.sqrt(float(np.sum(delta.array**2)))
+        for point, k in zip(sweep(delta, ORACLE_K), ORACLE_K):
+            chosen, values, fraction = reference_selection(flat, k)
+            ref = MaskResult(chosen, values, fraction, float(k), chosen.size)
+            sq_error = np.sum((delta.array - reconstruct(f, ref).array) ** 2)
+            err = math.sqrt(float(sq_error)) / norm
+            assert point == SweepPoint(float(k), err, fraction, chosen.size)
 
 
 class TestReconstruct:

@@ -383,6 +383,51 @@ class TestBadFactors:
         assert "layer.1.query.lora_A.weight" in err
 
 
+class TestHostileScale:
+    """Scale metadata that gives no usable scale, or an update whose energy
+    would overflow, is a malformed container: exit 2 and one error line."""
+
+    COMMANDS = [["analyze"], ["mask", "--k", "10"], ["sweep", "--k-list", "10"],
+                ["correlate"]]
+    IDS = ["analyze", "mask", "sweep", "correlate"]
+
+    def with_metadata(self, tmp_path, metadata):
+        src = synth(tmp_path)
+        file = read_container(src.read_bytes())
+        path = tmp_path / "meta.st"
+        path.write_bytes(write_container(AdapterFile(file.tensors, metadata)))
+        return path
+
+    def run(self, capsys, argv):
+        capsys.readouterr()  # drop synth's own stderr line
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        return code, err
+
+    def test_nan_alpha_exits_2(self, tmp_path, capsys):
+        src = self.with_metadata(tmp_path, {"alpha": "nan", "r": "2"})
+        code, err = self.run(capsys, ["analyze", str(src), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "alpha='nan', r='2':" in err
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=IDS)
+    def test_overflowing_metadata_scale_exits_2(self, tmp_path, capsys, argv):
+        src = self.with_metadata(tmp_path, {"alpha": "1e300", "r": "1e-8"})
+        out = tmp_path / "out"
+        assert self.run(capsys, [argv[0], str(src), *argv[1:], "--out", str(out)])[0] == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=IDS)
+    def test_overflowing_scale_flag_exits_2(self, tmp_path, capsys, argv):
+        src = synth(tmp_path)
+        out = tmp_path / "out"
+        argv = [argv[0], str(src), *argv[1:], "--scale", "1e308", "--out", str(out)]
+        assert self.run(capsys, argv)[0] == 2
+        assert not out.exists()
+
+
 class TestWriteBytes:
     def test_concurrent_writers_to_one_path(self, tmp_path):
         path = tmp_path / "out" / "report.json"

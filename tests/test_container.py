@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import struct
 
@@ -363,6 +364,37 @@ class TestPairLora:
         b = TensorRecord("m.lora_B", "F64", (4, 2), np.zeros(8))
         assert pair_lora(lora_file([a, b], {"alpha": "32"})).pairs[0].scale == 1.0
         assert pair_lora(lora_file([a, b], {"r": "0"})).pairs[0].scale == 1.0
+
+    @pytest.mark.parametrize(
+        "alpha, r",
+        [("nan", "2"), ("-4", "8"), ("1e308", "1e-10"), ("32", "0"),
+         ("x", "8"), ("inf", "1")],
+    )
+    def test_bad_scale_metadata_rejected(self, alpha, r):
+        a = TensorRecord("m.lora_A", "F64", (2, 4), np.zeros(8))
+        b = TensorRecord("m.lora_B", "F64", (4, 2), np.zeros(8))
+        with pytest.raises(MalformedHeader) as info:
+            pair_lora(lora_file([a, b], {"alpha": alpha, "r": r}))
+        assert f"alpha={alpha!r}, r={r!r}:" in str(info.value)
+
+    @pytest.mark.parametrize(
+        "alpha, r, factor",
+        [("1e300", "1e-8", 1.0), ("1", "1", 1e200), ("1e-200", "1", 1e200)],
+        ids=["huge-scale", "huge-factors", "huge-factors-tiny-scale"],
+    )
+    def test_overflowing_update_rejected(self, alpha, r, factor):
+        a = TensorRecord("m.lora_A", "F64", (2, 4), np.full(8, factor))
+        b = TensorRecord("m.lora_B", "F64", (4, 2), np.full(8, factor))
+        with pytest.raises(ContainerError, match="pair 'm'"):
+            pair_lora(lora_file([a, b], {"alpha": alpha, "r": r}))
+
+    def test_overflow_rechecked_on_scale_override(self):
+        a = TensorRecord("m.lora_A", "F64", (2, 4), np.full(8, 1e-3))
+        b = TensorRecord("m.lora_B", "F64", (4, 2), np.full(8, 1e-3))
+        pair = pair_lora(lora_file([a, b])).pairs[0]
+        assert dataclasses.replace(pair, scale=1e100).scale == 1e100
+        with pytest.raises(ContainerError, match="pair 'm'"):
+            dataclasses.replace(pair, scale=1.7e308)
 
     def test_layers_segment_and_unparseable_names(self):
         a = TensorRecord("enc.layers.11.attn.lora_A.w", "F64", (2, 4), np.zeros(8))

@@ -280,14 +280,15 @@ class TestSvdWarningFree:
         "a",
         [
             np.zeros((5, 4)),
-            # Rotations leave the dropped columns' Gram diagonal a hair below 0.
+            # Rank 1: every singular value after the first is 0 in exact arithmetic.
             np.outer(
                 np.random.default_rng(47).standard_normal(8),
                 np.random.default_rng(48).standard_normal(5),
             ),
             np.repeat(np.array([[1.0], [2.0], [-3.0], [0.5]]), 4, axis=1),
             np.eye(6)[:, :4] * np.array([4.0, 3.0, 2.0, 1.0]),
-            # |zeta| ~ 1e12: 1 / (zeta + sqrt(1 + zeta^2)) would divide by 0.
+            # Nearly orthogonal columns whose norms differ by four orders of
+            # magnitude, with tiny off-diagonal coupling.
             np.diag([1e4, 1.0, 3.0]) + 1e-8,
             np.array([[3.0, -4.0, 1.0, 2.0, 0.0]]),
             np.array([[3.0], [-4.0], [1.0], [2.0], [0.0]]),
