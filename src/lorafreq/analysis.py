@@ -96,7 +96,11 @@ class HeatmapTable:
 
 def energy_curve(f: Spectrum) -> EnergyCurve:
     """Square, sort descending, accumulate."""
-    energies = np.sort((f.coefficients.data ** 2))[::-1].copy()
+    return _curve_from_descending(np.sort(f.coefficients.data**2)[::-1].copy())
+
+
+def _curve_from_descending(energies: np.ndarray) -> EnergyCurve:
+    """The curve of energies already sorted descending; freezes the array."""
     cumulative = np.cumsum(energies)
     total = float(cumulative[-1])
     if total == 0.0:

@@ -1,9 +1,10 @@
 """Command-line surface: analyze | mask | decompress | sweep | correlate | synth.
 
 Exit codes: 0 success, 1 usage or invalid fixture spec, 2 unreadable or
-malformed container (bad alpha/r metadata and overflowing updates too), 3 no
-adapter pairs found, 4 every update matrix is zero, 5 not-spectral or corrupt
-sparse input, 6 degenerate statistics or an SVD that does not converge.
+malformed container (bad alpha/r metadata, overflowing updates, and sparse
+coefficients beyond binary32 range too), 3 no adapter pairs found, 4 every
+update matrix is zero, 5 not-spectral or corrupt sparse input, 6 degenerate
+statistics or an SVD that does not converge.
 Diagnostics go to stderr; stdout carries only the storage accounting.
 
 Every output file is written to a unique temp file in the target directory,
@@ -73,7 +74,8 @@ _scale_option = click.option(
     "--scale",
     type=click.FloatRange(0, min_open=True),
     default=None,
-    help="Override the metadata-derived alpha/r merge scale.",
+    help="Override the metadata-derived alpha/r merge scale. Malformed "
+    "alpha/r metadata still exits 2.",
 )
 _threads_option = click.option(
     "--threads",

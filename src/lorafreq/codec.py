@@ -18,7 +18,13 @@ import numpy as np
 from .analysis import MaskResult
 from .container import AdapterFile, TensorRecord
 from .dct import Spectrum, scatter_idct2
-from .errors import CorruptSparse, DuplicateName, InvalidSpec, NotSpectralFile
+from .errors import (
+    ContainerError,
+    CorruptSparse,
+    DuplicateName,
+    InvalidSpec,
+    NotSpectralFile,
+)
 from .linalg import Matrix
 
 FORMAT_TAG = "spectral-sparse-v1"
@@ -76,7 +82,16 @@ class StorageReport:
 
 
 def encode_sparse(name: str, f: Spectrum, mask: MaskResult) -> SparseSpectrum:
-    """Capture a mask's retained (index, value) pairs, values as binary32."""
+    """Capture a mask's retained (index, value) pairs, values as binary32.
+
+    A value outside binary32 range would be cast to inf, which
+    unpack_sparse_file rejects, so it raises ContainerError instead.
+    """
+    if not _fits_binary32(mask.retained_values):
+        raise ContainerError(
+            f"{name}: retained DCT coefficients exceed binary32 range, "
+            "so the sparse file cannot store them"
+        )
     indices = np.asarray(mask.retained_flat_indices, dtype=np.int64).copy()
     values = np.asarray(mask.retained_values, dtype=np.float32).copy()
     indices.setflags(write=False)
@@ -189,7 +204,7 @@ def unpack_sparse_file(file: AdapterFile) -> list[SparseSpectrum]:
             raise CorruptSparse(
                 f"spectrum {base!r} has indices that are not integers in [0, 2^32)"
             )
-        if not np.all(np.abs(raw_val) <= np.finfo(np.float32).max):
+        if not _fits_binary32(raw_val):
             raise CorruptSparse(
                 f"spectrum {base!r} has values that are non-finite or "
                 "outside binary32 range"
@@ -234,6 +249,11 @@ def storage_report(
         coeff_reduction=base_param_count / total_units,
         exceeds_base=total_units > base_param_count,
     )
+
+
+def _fits_binary32(values: np.ndarray) -> bool:
+    """Every value is finite and within binary32 range."""
+    return bool(np.all(np.abs(values) <= np.finfo(np.float32).max))
 
 
 def _validate(s: SparseSpectrum) -> None:

@@ -38,10 +38,6 @@ class ShapeMismatch(LorafreqError):
 class NoConvergence(LorafreqError):
     """A decomposition failed to converge (LAPACK reported no convergence)."""
 
-    def __init__(self, message: str, residual: float):
-        super().__init__(message)
-        self.residual = residual
-
 
 class ZeroSpectrum(LorafreqError):
     """The matrix (or its spectrum) carries no energy at all."""

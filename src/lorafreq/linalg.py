@@ -34,15 +34,6 @@ class Matrix:
         arr.setflags(write=False)
         self._array = arr
 
-    @classmethod
-    def from_flat(cls, rows: int, cols: int, data) -> "Matrix":
-        flat = np.asarray(data, dtype=np.float64)
-        if flat.ndim != 1 or flat.size != rows * cols:
-            raise ValueError(
-                f"flat data of length {flat.size} does not fill {rows}x{cols}"
-            )
-        return cls(flat.reshape(rows, cols))
-
     @property
     def rows(self) -> int:
         return self._array.shape[0]
@@ -80,11 +71,6 @@ class SvdResult:
     left_vectors: Matrix
     right_vectors_t: Matrix
 
-    @property
-    def rank_hint(self) -> int:
-        """Count of strictly positive singular values."""
-        return int(np.count_nonzero(self.singular_values > 0.0))
-
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
     """Matrix product with a fixed summation order.
@@ -105,11 +91,6 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(out)
 
 
-def frobenius_norm(a: Matrix) -> float:
-    arr = a.array
-    return float(np.sqrt(np.sum(arr * arr)))
-
-
 def svd(a: Matrix) -> SvdResult:
     """Thin SVD through LAPACK (numpy's gesdd).
 
@@ -120,7 +101,7 @@ def svd(a: Matrix) -> SvdResult:
     try:
         u, s, vt = np.linalg.svd(a.array, full_matrices=False)
     except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"LAPACK: {exc}", residual=float("nan")) from exc
+        raise NoConvergence(f"LAPACK: {exc}") from exc
 
     flip = u[np.argmax(np.abs(u), axis=0), np.arange(s.size)] < 0.0
     u[:, flip] *= -1.0

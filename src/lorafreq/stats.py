@@ -2,8 +2,8 @@
 
 The two-sided p-value for a Pearson r at sample size n uses the identity
 p = I_x(nu/2, 1/2) with nu = n - 2 and x = nu / (nu + t^2), where I is the
-regularized incomplete beta function, evaluated by a modified Lentz
-continued fraction. No normal approximation: the claims this supports
+regularized incomplete beta function (scipy.special.betainc). This is the
+exact Student-t tail, not a normal approximation: the claims it supports
 live around p ~ 1e-9 and far beyond, deep in the tail.
 """
 
@@ -13,13 +13,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.special
 
-from .errors import DegenerateInput, ZeroSpectrum
+from .analysis import _curve_from_descending, k_for_energy
+from .errors import DegenerateInput
 from .linalg import Matrix, svd
-
-_CF_MAX_ITER = 300
-_CF_EPS = 1e-15
-_CF_TINY = 1e-300
 
 
 @dataclass(frozen=True)
@@ -71,7 +69,7 @@ def pearson_p_two_sided(r: float, n: int) -> float:
     nu = n - 2
     t_sq = r * r * nu / (1.0 - r * r)
     x = nu / (nu + t_sq)
-    return _betainc_reg(nu / 2.0, 0.5, x)
+    return float(scipy.special.betainc(nu / 2.0, 0.5, x))
 
 
 def svd_k90(delta: Matrix, target_fraction: float = 0.9) -> float:
@@ -119,85 +117,18 @@ def _k90_percent(
     singular_values: np.ndarray, min_dim: int, target_fraction: float
 ) -> float:
     """100 * (smallest count of leading values whose squared sum reaches the
-    target fraction of the total) / min_dim."""
-    cumulative = np.cumsum(singular_values * singular_values)
-    total = float(cumulative[-1])
-    if total == 0.0:
-        raise ZeroSpectrum("zero matrix has no singular-value energy")
-    count = int(np.searchsorted(cumulative / total, target_fraction)) + 1
-    return 100.0 * count / min_dim
+    target fraction of the total) / min_dim, by analysis.k_for_energy's rule."""
+    curve = _curve_from_descending(singular_values * singular_values)
+    return 100.0 * k_for_energy(curve, target_fraction).coeff_count_90 / min_dim
 
 
-def _ranks(values: list[float]) -> list[float]:
+def _ranks(values: list[float]) -> np.ndarray:
     """Ranks starting at 1; tied values share the average of their ranks."""
-    order = sorted(range(len(values)), key=lambda i: values[i])
-    ranks = [0.0] * len(values)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        avg = (i + j) / 2.0 + 1.0
-        for k in range(i, j + 1):
-            ranks[order[k]] = avg
-        i = j + 1
+    v = np.asarray(values, dtype=np.float64)
+    order = np.argsort(v, kind="stable")
+    ordered = v[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    sizes = np.diff(np.r_[starts, v.size])
+    ranks = np.empty(v.size)
+    ranks[order] = np.repeat(starts + (sizes - 1) / 2.0 + 1.0, sizes)
     return ranks
-
-
-def _betainc_reg(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta I_x(a, b), continued-fraction evaluation."""
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    log_front = (
-        math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-        + a * math.log(x)
-        + b * math.log1p(-x)
-    )
-    front = math.exp(log_front)
-    # The continued fraction converges fast only on one side of the mean.
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
-
-
-def _betacf(a: float, b: float, x: float) -> float:
-    """Modified Lentz evaluation of the incomplete-beta continued fraction."""
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _CF_TINY:
-        d = _CF_TINY
-    d = 1.0 / d
-    h = d
-    for m in range(1, _CF_MAX_ITER + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _CF_TINY:
-            d = _CF_TINY
-        c = 1.0 + aa / c
-        if abs(c) < _CF_TINY:
-            c = _CF_TINY
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _CF_TINY:
-            d = _CF_TINY
-        c = 1.0 + aa / c
-        if abs(c) < _CF_TINY:
-            c = _CF_TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _CF_EPS:
-            return h
-    raise DegenerateInput(
-        f"incomplete beta did not converge for a={a}, b={b}, x={x}"
-    )

@@ -3,14 +3,17 @@
 import json
 import math
 import os
+import subprocess
 import sys
 import threading
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+import lorafreq
 from lorafreq.cli import _write_bytes, main
 from lorafreq.container import (
     AdapterFile,
@@ -406,9 +409,14 @@ class TestHostileScale:
         assert "Traceback" not in err
         return code, err
 
-    def test_nan_alpha_exits_2(self, tmp_path, capsys):
+    # --scale does not excuse bad metadata: it is checked when the file is read.
+    @pytest.mark.parametrize(
+        "extra", [[], ["--scale", "2"]], ids=["metadata", "scale-flag"]
+    )
+    def test_nan_alpha_exits_2(self, tmp_path, capsys, extra):
         src = self.with_metadata(tmp_path, {"alpha": "nan", "r": "2"})
-        code, err = self.run(capsys, ["analyze", str(src), "--out", str(tmp_path / "o")])
+        argv = ["analyze", str(src), *extra, "--out", str(tmp_path / "o")]
+        code, err = self.run(capsys, argv)
         assert code == 2
         assert "alpha='nan', r='2':" in err
 
@@ -426,6 +434,37 @@ class TestHostileScale:
         argv = [argv[0], str(src), *argv[1:], "--scale", "1e308", "--out", str(out)]
         assert self.run(capsys, argv)[0] == 2
         assert not out.exists()
+
+    def test_sparse_mask_beyond_binary32_exits_2(self, tmp_path, capsys):
+        src = synth(tmp_path)
+        out = tmp_path / "sparse.st"
+        argv = ["mask", str(src), "--k", "10", "--scale", "1e40", "--out", str(out)]
+        code, err = self.run(capsys, argv)
+        assert code == 2
+        assert "binary32" in err
+        assert not out.exists()
+        # The dense output is binary64 and holds the same coefficients.
+        dense = tmp_path / "dense.st"
+        assert main([*argv[:-1], str(dense), "--emit", "dense"]) == 0
+
+
+def test_cli_import_loads_no_scipy_stats_or_mpmath():
+    """scipy.stats alone adds about a second to every command's start."""
+    src = str(Path(lorafreq.__file__).parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = (
+        "import sys, lorafreq.cli; "
+        "print([m for m in ('scipy.stats', 'mpmath') if m in sys.modules])"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    assert done.stdout.strip() == "[]"
 
 
 class TestWriteBytes:

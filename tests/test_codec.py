@@ -22,6 +22,7 @@ from lorafreq.container import (
 )
 from lorafreq.dct import dct2
 from lorafreq.errors import (
+    ContainerError,
     CorruptSparse,
     DuplicateName,
     InvalidSpec,
@@ -84,6 +85,12 @@ class TestEncodeSparse:
         f = dct2(Matrix(rng.standard_normal((8, 8))))
         mask = topk_mask(f, 25.0)
         assert encode_sparse("t", f, mask) == encode_sparse("t", f, mask)
+
+    def test_value_beyond_binary32_raises(self):
+        # DC coefficient 4e39: finite in binary64, inf once cast to binary32.
+        f = dct2(Matrix(np.full((4, 4), 1e39)))
+        with pytest.raises(ContainerError, match="^big: .*binary32"):
+            encode_sparse("big", f, topk_mask(f, 10.0))
 
 
 class TestDecodeSparse:

@@ -11,7 +11,6 @@ import pytest
 from lorafreq.errors import NoConvergence, ShapeMismatch
 from lorafreq.linalg import (
     Matrix,
-    frobenius_norm,
     matmul,
     svd,
 )
@@ -33,16 +32,6 @@ def matmul_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class TestMatrix:
-    def test_from_flat_round_trip(self):
-        m = Matrix.from_flat(2, 3, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
-        assert m.shape == (2, 3)
-        assert m.array[1, 2] == 6.0
-        np.testing.assert_array_equal(m.data, np.arange(1.0, 7.0))
-
-    def test_from_flat_length_mismatch(self):
-        with pytest.raises(ValueError):
-            Matrix.from_flat(2, 3, [1.0, 2.0])
-
     def test_rejects_non_2d(self):
         with pytest.raises(ValueError):
             Matrix([1.0, 2.0, 3.0])
@@ -115,18 +104,6 @@ class TestMatmul:
         assert first.tobytes() == second.tobytes()
 
 
-class TestFrobeniusNorm:
-    def test_known_value(self):
-        # 1 + 4 + 9 + 16 = 30
-        assert frobenius_norm(Matrix([[1.0, 2.0], [3.0, 4.0]])) == math.sqrt(30.0)
-
-    def test_matches_python_sum(self):
-        rng = np.random.default_rng(11)
-        a = rng.standard_normal((7, 5))
-        want = math.sqrt(sum(float(x) * float(x) for x in a.reshape(-1)))
-        assert frobenius_norm(Matrix(a)) == pytest.approx(want, rel=1e-14)
-
-
 def assert_valid_svd(a: np.ndarray, atol: float = 1e-9) -> None:
     res = svd(Matrix(a))
     s = res.singular_values
@@ -194,7 +171,7 @@ class TestSvd:
         a = rng.standard_normal((9, 6))
         res = svd(Matrix(a))
         total = float(np.sum(res.singular_values**2))
-        assert total == pytest.approx(frobenius_norm(Matrix(a)) ** 2, rel=1e-12)
+        assert total == pytest.approx(np.linalg.norm(a) ** 2, rel=1e-12)
 
     def test_scaling_property(self):
         rng = np.random.default_rng(46)
@@ -259,10 +236,6 @@ class TestSvd:
             r1.right_vectors_t.array.tobytes()
             == r2.right_vectors_t.array.tobytes()
         )
-
-    def test_rank_hint(self):
-        res = svd(Matrix(np.diag([2.0, 1.0, 0.0])))
-        assert res.rank_hint == 2
 
     def test_lapack_failure_raises_no_convergence(self, monkeypatch):
         def fail(*args, **kwargs):

@@ -100,9 +100,15 @@ class TestSpearman:
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(112)
-        for _ in range(10):
-            x = rng.integers(0, 20, size=50).astype(float)  # ties likely
-            y = rng.standard_normal(50)
+        xs = [rng.integers(0, 20, size=50).astype(float) for _ in range(10)]
+        xs += [
+            rng.choice([0.0, -0.0, 1.0, -1.0], size=50),  # -0.0 ties 0.0
+            rng.choice([5e-324, -5e-324, 0.0, -0.0, 2.2e-308], size=50),
+            rng.permutation([3.0] * 35 + [1.0] * 10 + [7.0] * 5),
+        ]
+        for x in xs:
+            y = rng.standard_normal(x.size)
+            assert list(stats._ranks(x)) == brute_force_ranks(x)
             want = pearson(brute_force_ranks(x), brute_force_ranks(y))
             assert spearman(x, y) == pytest.approx(want, abs=1e-12)
 
@@ -145,6 +151,17 @@ class TestPearsonPValue:
             want = t_sf_oracle(t, n - 2)
             assert pearson_p_two_sided(r, n) == pytest.approx(want, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "r, n", [(0.906, 48), (0.9, 200), (0.99, 200), (0.3, 200), (0.2, 1000)]
+    )
+    def test_relative_to_mpmath_deep_tail(self, r, n):
+        # p down to ~1e-170, where an absolute tolerance says nothing.
+        mpmath.mp.dps = 50
+        nu = mpmath.mpf(n - 2)
+        x = 1 - mpmath.mpf(r) ** 2  # nu / (nu + t^2), exactly
+        want = mpmath.betainc(nu / 2, mpmath.mpf(0.5), 0, x, regularized=True)
+        assert pearson_p_two_sided(r, n) == pytest.approx(float(want), rel=1e-12)
+
     def test_monotone_in_magnitude(self):
         values = [pearson_p_two_sided(r, 20) for r in (0.0, 0.2, 0.5, 0.8, 0.95)]
         assert all(a > b for a, b in zip(values, values[1:]))
@@ -162,10 +179,20 @@ class TestPearsonPValue:
 
 
 class TestSvdK90:
-    def test_known_diagonal(self):
-        # energies (25, 9, 1): 25 < 31.5 <= 34, so 2 of 3 values needed
-        value = svd_k90(Matrix(np.diag([5.0, 3.0, 1.0])))
-        assert value == pytest.approx(200.0 / 3.0, rel=1e-12)
+    @pytest.mark.parametrize(
+        "diagonal, want",
+        [
+            # energies (25, 9, 1): 25 < 31.5 <= 34, so 2 of 3 values needed
+            ([5.0, 3.0, 1.0], 200.0 / 3.0),
+            # energies (9, 1): the first fraction is exactly 0.9, and reaching
+            # the target counts, so 1 of 2 values (searchsorted's left side)
+            ([3.0, 1.0], 50.0),
+        ],
+        ids=["three-values", "exact-threshold"],
+    )
+    def test_known_diagonal(self, diagonal, want):
+        value = svd_k90(Matrix(np.diag(diagonal)))
+        assert value == pytest.approx(want, rel=1e-12)
 
     def test_rank_one_needs_single_value(self):
         rng = np.random.default_rng(114)
