@@ -2,7 +2,8 @@
 
 Everything operates on the orthonormal DCT-II spectrum, where squared
 coefficients are energies and Parseval ties masking error to dropped
-energy exactly: ||dW - dW_k||_F^2 == (1 - retained_fraction) * total.
+energy exactly: ||dW - dW_k||_F^2 is the sum of the squared coefficients
+the mask leaves out.
 """
 
 from __future__ import annotations
@@ -149,6 +150,9 @@ def topk_mask(f: Spectrum, k_percent: float) -> MaskResult:
     cut = np.partition(magnitude, total_count - k_count)[total_count - k_count]
     keep = magnitude > cut
     tied = np.flatnonzero(magnitude == cut)
+    # Free the m*n buffer before the kept indices and values are allocated,
+    # so a worker thread's heap can shrink once its spectrum is released.
+    del magnitude
     keep[tied[: k_count - int(np.count_nonzero(keep))]] = True
     chosen = np.flatnonzero(keep).astype(np.int64, copy=False)
     values = flat[chosen]
@@ -188,22 +192,28 @@ def reconstruct(f: Spectrum, mask: MaskResult) -> Matrix:
     return scatter_idct2((m, n), mask.retained_flat_indices, mask.retained_values)
 
 
-def sweep(delta: Matrix, k_values: list[float]) -> list[SweepPoint]:
-    """Mask/reconstruct metrics for each k, sharing one DCT."""
+def sweep(x: Matrix | Spectrum, k_values: list[float]) -> list[SweepPoint]:
+    """Mask metrics for each k of one spectrum; a merged update is transformed.
+
+    By Parseval the relative reconstruction error is sqrt(dropped / total),
+    where dropped sums the squared coefficients each mask leaves out; no
+    inverse transform is run.
+    """
     for k in k_values:
         if not 0.0 < k <= 100.0:
             raise ValueError(f"k values must be in (0, 100], got {k}")
-    f = dct2(delta)
-    norm = math.sqrt(float(np.sum(delta.array**2)))
+    f = x if isinstance(x, Spectrum) else dct2(x)
+    energy = f.coefficients.data**2
+    total = float(np.sum(energy))
     points = []
     for k in k_values:
         mask = topk_mask(f, k)
-        sq_error = np.sum((delta.array - reconstruct(f, mask).array) ** 2)
-        err = math.sqrt(float(sq_error)) / norm
+        dropped = energy.copy()
+        dropped[mask.retained_flat_indices] = 0.0
         points.append(
             SweepPoint(
                 k_percent=float(k),
-                relative_error=err,
+                relative_error=math.sqrt(float(np.sum(dropped)) / total),
                 retained_energy_fraction=mask.retained_energy_fraction,
                 k_count=mask.k_count,
             )

@@ -26,14 +26,8 @@ import click
 
 from . import codec, report
 from .analysis import reconstruct, sweep, topk_mask
-from .container import (
-    AdapterFile,
-    TensorRecord,
-    merge_delta,
-    read_container,
-    write_container,
-)
-from .dct import dct2
+from .container import AdapterFile, TensorRecord, read_container, write_container
+from .dct import dct2_factored
 from .errors import (
     ContainerError,
     CorruptSparse,
@@ -168,7 +162,7 @@ def cmd_mask(input, k, out, emit, base_params, scale, threads):
     pairs, _ = _load_pairs(input, scale)
 
     def one(pair):
-        spectrum = dct2(merge_delta(pair))
+        spectrum = dct2_factored(pair.b_matrix, pair.a_matrix, pair.scale)
         mask = topk_mask(spectrum, k)
         if emit == "sparse":
             return mask.k_count, codec.encode_sparse(pair.prefix, spectrum, mask)
@@ -237,7 +231,8 @@ def cmd_sweep(input, k_list, out, scale, threads):
     pairs, _ = _load_pairs(input, scale)
 
     def one(pair):
-        return pair.prefix, sweep(merge_delta(pair), k_list)
+        spectrum = dct2_factored(pair.b_matrix, pair.a_matrix, pair.scale)
+        return pair.prefix, sweep(spectrum, k_list)
 
     live = report.map_matrices(one, pairs, threads)
     rows = [

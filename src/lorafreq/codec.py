@@ -289,4 +289,11 @@ def _parse_shape(metadata: dict[str, str], base: str) -> tuple[int, int]:
         raise CorruptSparse(f"bad shape metadata {raw!r} for {base!r}") from exc
     if m < 1 or n < 1:
         raise CorruptSparse(f"bad shape metadata {raw!r} for {base!r}")
+    # Checked before anything of that size is allocated: a u32 index
+    # addresses at most 2^32 coefficients.
+    if m * n > 2**32:
+        raise CorruptSparse(
+            f"shape metadata {raw!r} for {base!r} exceeds the 2^32 "
+            "coefficients a u32 index can address"
+        )
     return (m, n)

@@ -10,6 +10,13 @@ transform is orthogonal, so Frobenius norms (and squared-coefficient
 energies) are preserved exactly. ``dct2`` uses a fast path; ``dct2_reference``
 evaluates the definition through explicit cosine basis matrices and exists
 so tests can cross-check the fast path.
+
+The transform is separable, F = C_m x C_n^T, so the spectrum of a low-rank
+update scale * B @ A is scale * (C_m B)(A C_n^T). ``dct2_factored`` takes
+the column DCT of the m x r factor and the row DCT of the r x n factor, then
+forms one product; the m x n update itself is never built. Every command
+gets its spectrum this way. ``dct2`` of a merged update is the library and
+test reference for it.
 """
 
 from __future__ import annotations
@@ -33,6 +40,21 @@ class Spectrum:
 def dct2(x: Matrix) -> Spectrum:
     """Forward orthonormal 2D DCT-II."""
     coeffs = _fft.dctn(x.array, type=2, norm="ortho")
+    return Spectrum(Matrix(coeffs))
+
+
+def dct2_factored(b: Matrix, a: Matrix, scale: float) -> Spectrum:
+    """Spectrum of scale * (b @ a), from the DCTs of the thin factors.
+
+    Equals ``dct2`` of the merged update up to rounding: the coefficients
+    differ by at most 8 * eps * scale * ||b||_F * ||a||_F. The scale is
+    applied to the product, as the merge applies it, so a scale that would
+    overflow or underflow a factor alone stays harmless.
+    """
+    left = _fft.dct(b.array, type=2, norm="ortho", axis=0)
+    right = _fft.dct(a.array, type=2, norm="ortho", axis=1)
+    coeffs = left @ right
+    coeffs *= float(scale)
     return Spectrum(Matrix(coeffs))
 
 

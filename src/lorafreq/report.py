@@ -20,13 +20,12 @@ import numpy as np
 from .analysis import (
     EnergyCurve,
     SpectralSummary,
-    dct_k90,
     energy_curve,
     k_for_energy,
     layer_heatmap,
 )
-from .container import AdapterFile, LoraPair, merge_delta, pair_lora
-from .dct import dct2
+from .container import AdapterFile, LoraPair, pair_lora
+from .dct import dct2_factored
 from .errors import DegenerateInput, ZeroSpectrum
 from .stats import _factored_svd_k90, svd_dct_correlate
 
@@ -78,7 +77,7 @@ def analysis_rows(
     """(report row, thinned curve points) per pair, in order; zero rows flagged."""
 
     def one(pair: LoraPair) -> tuple[dict, list[tuple[float, float]]]:
-        curve = energy_curve(dct2(merge_delta(pair)))
+        curve = energy_curve(dct2_factored(pair.b_matrix, pair.a_matrix, pair.scale))
         row = {
             "prefix": pair.prefix,
             "layer_index": pair.layer_index,
@@ -177,13 +176,15 @@ def correlate_report(
 ) -> dict:
     """SVD-vs-DCT k90 correlation across a container's non-zero matrices.
 
-    The SVD side works on each pair's factors (stats._factored_svd_k90), so
-    it decomposes an r x r core rather than the m x n update.
+    Both sides work on each pair's factors, never on the m x n update: the
+    DCT side takes its spectrum from dct.dct2_factored, and the SVD side
+    (stats._factored_svd_k90) decomposes an r x r core.
     """
 
     def one(pair: LoraPair) -> tuple[str, float, float]:
         # The DCT side first, so its energy alone decides a zero update.
-        dct_value = dct_k90(merge_delta(pair)).k90_percent
+        spectrum = dct2_factored(pair.b_matrix, pair.a_matrix, pair.scale)
+        dct_value = k_for_energy(energy_curve(spectrum)).k90_percent
         svd_value = _factored_svd_k90(pair.b_matrix, pair.a_matrix)
         return pair.prefix, svd_value, dct_value
 

@@ -287,19 +287,30 @@ class TestTopkOracle:
             Matrix(np.full((6, 6), 3.0)),
             Matrix(np.kron(np.ones((3, 3)), [[1.0, -1.0], [-1.0, 1.0]])),
             Matrix(np.random.default_rng(96).standard_normal((20, 14))),
+            # At k = 25 the explicit error is 3.5e-16, but sqrt(1 - fraction)
+            # reads 1.05e-8: the error must come from the dropped energy.
+            merge_delta(pair_lora(generate(FixtureSpec(
+                kind="smooth_lowrank", m=51, n=56, r=3, seed=11
+            ))).pairs[0]),
         ],
-        ids=["smooth-r1", "smooth-r2", "constant", "checkerboard", "gaussian"],
+        ids=["smooth-r1", "smooth-r2", "constant", "checkerboard", "gaussian",
+             "smooth-51x56-r3"],
     )
     def test_sweep_points_match_per_k_reference(self, delta):
         f = dct2(delta)
         flat = f.coefficients.data
         norm = math.sqrt(float(np.sum(delta.array**2)))
-        for point, k in zip(sweep(delta, ORACLE_K), ORACLE_K):
+        points = sweep(delta, ORACLE_K)
+        assert sweep(f, ORACLE_K) == points
+        for point, k in zip(points, ORACLE_K):
             chosen, values, fraction = reference_selection(flat, k)
             ref = MaskResult(chosen, values, fraction, float(k), chosen.size)
             sq_error = np.sum((delta.array - reconstruct(f, ref).array) ** 2)
             err = math.sqrt(float(sq_error)) / norm
-            assert point == SweepPoint(float(k), err, fraction, chosen.size)
+            assert point.k_percent == float(k)
+            assert point.retained_energy_fraction == fraction
+            assert point.k_count == chosen.size
+            assert point.relative_error == pytest.approx(err, rel=0, abs=1e-12)
 
 
 class TestReconstruct:

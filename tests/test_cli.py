@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 
 import lorafreq
+import lorafreq.container
+import lorafreq.dct
 from lorafreq.cli import _write_bytes, main
 from lorafreq.container import (
     AdapterFile,
@@ -278,6 +280,23 @@ class TestDecompress:
         )
         assert main(["decompress", str(bad), "--out", str(tmp_path / "o.st")]) == 5
 
+    def test_shape_beyond_u32_index_range_exits_5(self, tmp_path, capsys):
+        # Decoding would allocate 8 TiB for this shape before any index check.
+        src = synth(tmp_path, m=16, n=16, count=1)
+        sparse = tmp_path / "s.st"
+        assert main(["mask", str(src), "--k", "10", "--out", str(sparse)]) == 0
+        packed = read_container(sparse.read_bytes())
+        (key,) = [k for k in packed.metadata if k.startswith("shape.")]
+        meta = {**packed.metadata, key: "1048576,1048576"}
+        bad = tmp_path / "bad.st"
+        bad.write_bytes(write_container(AdapterFile(packed.tensors, meta)))
+        capsys.readouterr()
+        out = tmp_path / "o.st"
+        assert main(["decompress", str(bad), "--out", str(out)]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestSweep:
     def test_rows_sorted_and_monotone(self, tmp_path):
@@ -448,23 +467,50 @@ class TestHostileScale:
         assert main([*argv[:-1], str(dense), "--emit", "dense"]) == 0
 
 
-def test_cli_import_loads_no_scipy_stats_or_mpmath():
-    """scipy.stats alone adds about a second to every command's start."""
+def subprocess_env(**overrides) -> dict:
+    """os.environ with this tree's lorafreq first on PYTHONPATH."""
     src = str(Path(lorafreq.__file__).parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path, **overrides}
+
+
+def test_cli_import_loads_no_scipy_stats_or_mpmath():
+    """scipy.stats alone adds about a second to every command's start."""
     code = (
         "import sys, lorafreq.cli; "
         "print([m for m in ('scipy.stats', 'mpmath') if m in sys.modules])"
     )
     done = subprocess.run(
         [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": path},
+        env=subprocess_env(),
         capture_output=True,
         text=True,
         timeout=120,
         check=True,
     )
     assert done.stdout.strip() == "[]"
+
+
+def test_commands_take_the_spectrum_from_the_factors(tmp_path, monkeypatch):
+    """No command merges an m x n update, transforms one, or inverts per k."""
+    src = synth(tmp_path, count=4, **{"rank-ramp": True})
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a command merged, transformed or inverted an update")
+
+    monkeypatch.setattr(lorafreq.container, "matmul", forbidden)
+    monkeypatch.setattr(lorafreq.dct._fft, "dctn", forbidden)
+    monkeypatch.setattr(lorafreq.dct._fft, "idctn", forbidden)
+    pair = pair_lora(read_container(src.read_bytes())).pairs[0]
+    with pytest.raises(AssertionError):
+        merge_delta(pair)
+    for argv in (
+        ["analyze", str(src)],
+        ["mask", str(src), "--k", "10"],
+        ["sweep", str(src), "--k-list", "5,20,50,100"],
+        ["correlate", str(src)],
+    ):
+        assert main([*argv, "--out", str(tmp_path / argv[0])]) == 0, argv[0]
 
 
 class TestWriteBytes:
@@ -588,6 +634,30 @@ class TestDeterminism:
                 outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
             else:
                 outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_blas_threads_do_not_change_output(self, tmp_path):
+        """Each spectrum is a BLAS product; its bytes must not follow BLAS's
+        threading. One fresh interpreter per setting, since OpenBLAS reads
+        the variable when it loads."""
+        src = synth(tmp_path, m=512, n=512, r=16, count=2)
+        code = (
+            "import sys; from lorafreq.cli import main; s, o = sys.argv[1:]; "
+            "main(['analyze', s, '--out', o + '/analyze']); "
+            "main(['mask', s, '--k', '10', '--emit', 'dense', '--out', o + '/d.st']); "
+            "main(['sweep', s, '--k-list', '1,10,50', '--out', o + '/sweep.csv'])"
+        )
+        env_unset = subprocess_env()
+        env_unset.pop("OPENBLAS_NUM_THREADS", None)
+        outputs = []
+        for tag, env in (("one", subprocess_env(OPENBLAS_NUM_THREADS="1")),
+                         ("unset", env_unset)):
+            out = tmp_path / tag
+            subprocess.run([sys.executable, "-c", code, str(src), str(out)],
+                           env=env, capture_output=True, timeout=300, check=True)
+            files = sorted(p for p in out.rglob("*") if p.is_file())
+            assert len(files) == 6  # report.json, 2 curves, combined, dense, sweep
+            outputs.append({p.relative_to(out): p.read_bytes() for p in files})
         assert outputs[0] == outputs[1]
 
     def test_analyze_and_mask_reruns_byte_identical(self, tmp_path):

@@ -252,6 +252,20 @@ class TestPackUnpack:
         with pytest.raises(CorruptSparse):
             unpack_sparse_file(AdapterFile(tensors=f.tensors, metadata=meta))
 
+    @pytest.mark.parametrize(
+        "shape, ok",
+        [("1048576,1048576", False), ("65536,65537", False), ("65536,65536", True)],
+    )
+    def test_shape_limited_to_u32_index_range(self, shape, ok):
+        f = pack_sparse_file(self.make_spectra(1))
+        meta = {**f.metadata, "shape.layer.0.query": shape}
+        file = AdapterFile(tensors=f.tensors, metadata=meta)
+        if ok:
+            assert unpack_sparse_file(file)[0].shape == (65536, 65536)
+        else:
+            with pytest.raises(CorruptSparse, match="2\\^32"):
+                unpack_sparse_file(file)
+
 
 class TestStorageReport:
     def test_nominal_reference_values_exact(self):

@@ -2,12 +2,29 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from lorafreq.dct import Spectrum, dct2, dct2_reference, idct2, idct2_reference
+from lorafreq.analysis import energy_curve, k_for_energy
+from lorafreq.container import merge_delta, pair_lora
+from lorafreq.dct import (
+    Spectrum,
+    dct2,
+    dct2_factored,
+    dct2_reference,
+    idct2,
+    idct2_reference,
+)
+from lorafreq.fixtures import (
+    FixtureSpec,
+    generate,
+    generate_set,
+    ramp_specs,
+    repeat_specs,
+)
 from lorafreq.linalg import Matrix
 
 
@@ -145,3 +162,77 @@ class TestReference:
                 atol=1e-11,
             )
 
+
+def fixture_pair(kind, m, n, r=1, seed=0, noise_level=0.0):
+    spec = FixtureSpec(kind=kind, m=m, n=n, r=r, seed=seed, noise_level=noise_level)
+    return pair_lora(generate(spec)).pairs[0]
+
+
+# The sets the benchmark's bert-, svd-ramp- and fullrank-shaped workloads
+# build at seeds 11-20, as the distinct fixture specs they contain.
+BENCH_SHAPED = {
+    "bert": {
+        spec
+        for seed in range(11, 21)
+        for spec in repeat_specs(FixtureSpec("mixed", 768, 768, 8, seed, 0.3), 12)
+    },
+    "svd-ramp": {
+        spec
+        for seed in range(11, 21)
+        for spec in ramp_specs("mixed", 128, 128, 12, seed, 0.3)
+    },
+    "fullrank": {
+        spec
+        for seed in range(11, 21)
+        for spec in repeat_specs(
+            FixtureSpec("dense_gaussian", 128, 128, 1, seed), 6
+        )
+    },
+}
+
+
+class TestDct2Factored:
+    """The spectrum from the factors against dct2 of the merged update."""
+
+    @pytest.mark.parametrize("scale", [1.0, 0.3, 37.5])
+    @pytest.mark.parametrize(
+        "kind, m, n, r, noise",
+        [
+            ("gaussian_iid", 60, 40, 5, 0.0),
+            ("mixed", 40, 72, 4, 0.3),
+            ("smooth_lowrank", 33, 47, 1, 0.0),
+            ("gaussian_iid", 24, 36, 24, 0.0),
+            ("dense_gaussian", 48, 32, 1, 0.0),
+            ("dense_gaussian", 32, 48, 1, 0.0),
+        ],
+        ids=["m>n", "m<n", "r=1", "r=min", "identity-A", "identity-B"],
+    )
+    def test_within_rounding_of_merged_dct(self, kind, m, n, r, noise, scale):
+        pair = fixture_pair(kind, m, n, r, seed=11, noise_level=noise)
+        pair = dataclasses.replace(pair, scale=scale)
+        got = dct2_factored(pair.b_matrix, pair.a_matrix, pair.scale)
+        want = dct2(merge_delta(pair)).coefficients.array
+        eps = np.finfo(float).eps
+        b, a = pair.b_matrix.array, pair.a_matrix.array
+        bound = 8 * eps * scale * np.linalg.norm(b) * np.linalg.norm(a)
+        assert got.coefficients.shape == (m, n)
+        assert np.max(np.abs(got.coefficients.array - want)) <= bound
+
+    def test_scale_applied_to_the_product(self):
+        # scale * B alone overflows binary64; the update scale * (B @ A) is 2e10.
+        b = Matrix(np.full((4, 2), 1e10))
+        a = Matrix(np.full((2, 3), 1e-300))
+        got = dct2_factored(b, a, 1e300).coefficients.array
+        want = dct2(Matrix(1e300 * (b.array @ a.array))).coefficients.array
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-4)
+
+    @pytest.mark.parametrize("shape", sorted(BENCH_SHAPED))
+    def test_k90_counts_equal_on_bench_shaped_sets(self, shape):
+        specs = sorted(BENCH_SHAPED[shape], key=lambda s: (s.seed, s.r))
+        for pair in pair_lora(generate_set(specs)).pairs:
+            factored = dct2_factored(pair.b_matrix, pair.a_matrix, pair.scale)
+            merged = dct2(merge_delta(pair))
+            assert (
+                k_for_energy(energy_curve(factored)).coeff_count_90
+                == k_for_energy(energy_curve(merged)).coeff_count_90
+            ), pair.prefix
