@@ -97,17 +97,17 @@ class HeatmapTable:
 
 def energy_curve(f: Spectrum) -> EnergyCurve:
     """Square, sort descending, accumulate."""
-    return _curve_from_descending(np.sort(f.coefficients.data**2)[::-1].copy())
+    return _curve_from_descending(np.sort(f.coefficients.data**2)[::-1])
 
 
 def _curve_from_descending(energies: np.ndarray) -> EnergyCurve:
     """The curve of energies already sorted descending; freezes the array."""
-    cumulative = np.cumsum(energies)
-    total = float(cumulative[-1])
+    fraction = np.cumsum(energies)
+    total = float(fraction[-1])
     if total == 0.0:
         fraction = np.empty(0)
     else:
-        fraction = cumulative / total
+        fraction /= total
     energies.setflags(write=False)
     fraction.setflags(write=False)
     return EnergyCurve(

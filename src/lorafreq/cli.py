@@ -103,9 +103,9 @@ def cli():
 @_threads_option
 def cmd_analyze(input, out, energy_target, scale, threads):
     """Report spectral energy concentration per adapter matrix."""
-    pairs, applied = _load_pairs(input, scale)
+    pairs = _load_pairs(input, scale)
     rows_points = report.analysis_rows(pairs, energy_target, threads)
-    doc = report.analysis_report(input, pairs, rows_points, applied)
+    doc = report.analysis_report(input, pairs, rows_points, pairs[0].scale)
 
     out_dir = Path(out)
     _write_text(out_dir / "report.json", _json_text(doc))
@@ -159,7 +159,7 @@ def cmd_analyze(input, out, energy_target, scale, threads):
 @_threads_option
 def cmd_mask(input, k, out, emit, base_params, scale, threads):
     """Keep the top-k% spectrum of each update and write the result."""
-    pairs, _ = _load_pairs(input, scale)
+    pairs = _load_pairs(input, scale)
 
     def one(pair):
         spectrum = dct2_factored(pair.b_matrix, pair.a_matrix, pair.scale)
@@ -228,7 +228,7 @@ def cmd_decompress(input, out, threads):
 @_threads_option
 def cmd_sweep(input, k_list, out, scale, threads):
     """Tabulate reconstruction error against the frequency budget k."""
-    pairs, _ = _load_pairs(input, scale)
+    pairs = _load_pairs(input, scale)
 
     def one(pair):
         spectrum = dct2_factored(pair.b_matrix, pair.a_matrix, pair.scale)
@@ -257,8 +257,8 @@ def cmd_sweep(input, k_list, out, scale, threads):
 @_threads_option
 def cmd_correlate(input, out, scale, threads):
     """Correlate SVD-based and DCT-based k90 across matrices."""
-    pairs, applied = _load_pairs(input, scale)
-    doc = report.correlate_report(input, pairs, applied, threads)
+    pairs = _load_pairs(input, scale)
+    doc = report.correlate_report(input, pairs, pairs[0].scale, threads)
     _write_text(Path(out), _json_text(doc))
     click.echo(
         f"pearson {doc['pearson']:.4f}, spearman {doc['spearman']:.4f}, "
@@ -332,8 +332,7 @@ def _load_pairs(path: str, scale):
         click.echo(f"warning: unpaired factor {orphan.tensor_name}", err=True)
     if not pairs:
         raise _NoPairsError(f"no lora_A/lora_B pairs found in {path}")
-    applied = scale if scale is not None else pairs[0].scale
-    return pairs, applied
+    return pairs
 
 
 def _parse_k_list(value: str) -> list[float]:

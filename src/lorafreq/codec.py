@@ -92,8 +92,8 @@ def encode_sparse(name: str, f: Spectrum, mask: MaskResult) -> SparseSpectrum:
             f"{name}: retained DCT coefficients exceed binary32 range, "
             "so the sparse file cannot store them"
         )
-    indices = np.asarray(mask.retained_flat_indices, dtype=np.int64).copy()
-    values = np.asarray(mask.retained_values, dtype=np.float32).copy()
+    indices = np.array(mask.retained_flat_indices, dtype=np.int64)
+    values = np.array(mask.retained_values, dtype=np.float32)
     indices.setflags(write=False)
     values.setflags(write=False)
     return SparseSpectrum(
@@ -135,20 +135,10 @@ def pack_sparse_file(spectra: list[SparseSpectrum]) -> AdapterFile:
         _validate(s)
         count = int(s.flat_indices.size)
         tensors.append(
-            TensorRecord(
-                s.name + _INDICES_SUFFIX,
-                "F64",
-                (1, count),
-                s.flat_indices.astype(np.float64),
-            )
+            TensorRecord(s.name + _INDICES_SUFFIX, "F64", (1, count), s.flat_indices)
         )
         tensors.append(
-            TensorRecord(
-                s.name + _VALUES_SUFFIX,
-                "F32",
-                (1, count),
-                s.values.astype(np.float64),
-            )
+            TensorRecord(s.name + _VALUES_SUFFIX, "F32", (1, count), s.values)
         )
         metadata[f"shape.{s.name}"] = f"{s.shape[0]},{s.shape[1]}"
     return AdapterFile(tensors=tuple(tensors), metadata=metadata)

@@ -44,7 +44,9 @@ class TensorRecord:
         shape = tuple(int(s) for s in shape)
         if any(s < 0 for s in shape):
             raise MalformedHeader(f"negative shape {shape} for tensor {name!r}")
-        flat = np.asarray(data, dtype=np.float64).reshape(-1).copy()
+        # A signalling NaN warns in this cast; the finiteness checks reject it.
+        with np.errstate(invalid="ignore"):
+            flat = np.array(data, dtype=np.float64, order="C").reshape(-1)
         if flat.size != math.prod(shape):
             raise ValueError(
                 f"tensor {name!r}: {flat.size} values do not fill shape {shape}"
@@ -173,13 +175,15 @@ def read_container(raw: bytes) -> AdapterFile:
     try:
         text = raw[8 : 8 + header_len].decode("utf-8")
         header = json.loads(text, object_pairs_hook=_reject_duplicate_keys)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    # ValueError also covers undecodable bytes and integers past the digit
+    # limit; RecursionError is nesting deeper than the parser's stack.
+    except (ValueError, RecursionError) as exc:
         raise MalformedHeader(f"header is not valid JSON: {exc}") from exc
     if not isinstance(header, dict):
         raise MalformedHeader("header JSON must be an object")
 
     metadata = _parse_metadata(header.pop("__metadata__", {}))
-    buffer = raw[8 + header_len :]
+    buffer = memoryview(raw)[8 + header_len :]
 
     tensors = []
     spans = []
@@ -200,7 +204,7 @@ def read_container(raw: bytes) -> AdapterFile:
             )
         values = np.frombuffer(
             buffer, dtype=_NUMPY_DTYPES[dtype], count=count, offset=start
-        ).astype(np.float64)
+        )
         tensors.append(TensorRecord(name, dtype, shape, values))
         if nbytes > 0:
             spans.append((start, end, name))
@@ -221,23 +225,26 @@ def write_container(file: AdapterFile) -> bytes:
     contiguously in that order. Each tensor is written in its own dtype, so
     narrow tensors (e.g. the binary32 half of a sparse spectral file) are
     never widened.
+
+    Allocates the returned bytes and one narrowed copy of each F16/F32
+    tensor; F64 data is joined straight from the records.
     """
     names = [t.name for t in file.tensors]
     if len(set(names)) != len(names):
         raise DuplicateName("tensor names must be unique")
 
     header: dict[str, object] = {}
-    chunks = []
+    payloads = []
     offset = 0
     for t in sorted(file.tensors, key=lambda t: t.name):
-        payload = t.data.astype(_NUMPY_DTYPES[t.dtype]).tobytes()
+        payload = t.data.astype(_NUMPY_DTYPES[t.dtype], copy=False)
         header[t.name] = {
             "dtype": t.dtype,
             "shape": list(t.shape),
-            "data_offsets": [offset, offset + len(payload)],
+            "data_offsets": [offset, offset + payload.nbytes],
         }
-        chunks.append(payload)
-        offset += len(payload)
+        payloads.append(payload)
+        offset += payload.nbytes
     if file.metadata:
         header["__metadata__"] = {
             str(k): str(v) for k, v in file.metadata.items()
@@ -246,7 +253,7 @@ def write_container(file: AdapterFile) -> bytes:
     blob = json.dumps(
         header, sort_keys=True, separators=(",", ":"), ensure_ascii=False
     ).encode("utf-8")
-    return struct.pack("<Q", len(blob)) + blob + b"".join(chunks)
+    return b"".join([struct.pack("<Q", len(blob)), blob, *payloads])
 
 
 def pair_lora(file: AdapterFile) -> PairingResult:

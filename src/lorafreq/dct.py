@@ -64,13 +64,16 @@ def idct2(f: Spectrum) -> Matrix:
 
 
 def scatter_idct2(shape: tuple[int, int], flat_indices, values) -> Matrix:
-    """Inverse of a spectrum that is zero outside the given flat indices."""
+    """Inverse of a spectrum that is zero outside the given flat indices.
+
+    Allocates one m x n buffer, inverts it in place, and copies it once
+    into the returned Matrix; ``values`` is only read.
+    """
     m, n = shape
     flat = np.zeros(m * n)
     flat[flat_indices] = values
-    spectrum = Spectrum(Matrix(flat.reshape(m, n)))
-    del flat  # Matrix copied it; free the buffer before the inverse allocates
-    return idct2(spectrum)
+    inverse = _fft.idctn(flat.reshape(m, n), type=2, norm="ortho", overwrite_x=True)
+    return Matrix(inverse)
 
 
 def dct2_reference(x: Matrix) -> Spectrum:

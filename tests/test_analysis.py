@@ -83,6 +83,12 @@ class TestEnergyCurve:
         assert curve.cumulative_fraction[-1] == 1.0
         assert np.all(np.diff(curve.cumulative_fraction) >= 0.0)
 
+    def test_holds_two_arrays_of_the_spectrum_size(self, peak_alloc):
+        rng = np.random.default_rng(82)
+        f = spectrum_of(rng.standard_normal((512, 512)))
+        _, peak = peak_alloc(energy_curve, f)
+        assert peak <= 2.1 * 8 * 512 * 512
+
 
 class TestKForEnergy:
     def test_boundary_crossing(self):

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 import threading
@@ -403,6 +404,52 @@ class TestBadFactors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "layer.1.query.lora_A.weight" in err
+
+
+class TestSignallingNan:
+    """A binary32 signalling NaN (bits 0x7f800001) is rejected like any NaN:
+    one error line, with no numpy cast warning before it."""
+
+    def with_snan(self, raw: bytes, name: str) -> bytes:
+        (header_len,) = struct.unpack("<Q", raw[:8])
+        header = json.loads(raw[8 : 8 + header_len])
+        at = 8 + header_len + header[name]["data_offsets"][0]
+        return raw[:at] + struct.pack("<I", 0x7F800001) + raw[at + 4 :]
+
+    def run(self, capsys, argv):
+        capsys.readouterr()
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "RuntimeWarning" not in err and "Traceback" not in err
+        return code
+
+    def test_factor_exits_2(self, tmp_path, capsys):
+        rng = np.random.default_rng(14)
+        tensors = (
+            TensorRecord("layer.0.query.lora_A.weight", "F32", (2, 6),
+                         rng.standard_normal(12)),
+            TensorRecord("layer.0.query.lora_B.weight", "F32", (6, 2),
+                         rng.standard_normal(12)),
+        )
+        raw = write_container(AdapterFile(tensors=tensors))
+        src = tmp_path / "snan.st"
+        src.write_bytes(self.with_snan(raw, "layer.0.query.lora_A.weight"))
+        out = tmp_path / "out"
+        assert self.run(capsys, ["analyze", str(src), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_sparse_value_exits_5(self, tmp_path, capsys):
+        src = synth(tmp_path, count=1)
+        sparse = tmp_path / "s.st"
+        assert main(["mask", str(src), "--k", "10", "--out", str(sparse)]) == 0
+        raw = sparse.read_bytes()
+        (name,) = [n for n in read_container(raw).names() if n.endswith("_values")]
+        bad = tmp_path / "bad.st"
+        bad.write_bytes(self.with_snan(raw, name))
+        out = tmp_path / "o.st"
+        assert self.run(capsys, ["decompress", str(bad), "--out", str(out)]) == 5
+        assert not out.exists()
 
 
 class TestHostileScale:

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import json
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from lorafreq.analysis import reconstruct, topk_mask
+from lorafreq.analysis import energy_curve, reconstruct, topk_mask
 from lorafreq.codec import (
     SparseSpectrum,
     decode_sparse,
@@ -17,15 +22,17 @@ from lorafreq.codec import (
 from lorafreq.container import (
     AdapterFile,
     TensorRecord,
+    pair_lora,
     read_container,
     write_container,
 )
-from lorafreq.dct import dct2
+from lorafreq.dct import Spectrum, dct2, dct2_factored
 from lorafreq.errors import (
     ContainerError,
     CorruptSparse,
     DuplicateName,
     InvalidSpec,
+    LorafreqError,
     NotSpectralFile,
 )
 from lorafreq.linalg import Matrix
@@ -118,6 +125,13 @@ class TestDecodeSparse:
         with pytest.raises(CorruptSparse):
             decode_sparse(sparse([0, 1], [1.0]))
 
+    def test_allocates_about_two_spectra(self, peak_alloc):
+        rng = np.random.default_rng(103)
+        f = Spectrum(Matrix(rng.standard_normal((512, 512))))
+        s = encode_sparse("s", f, topk_mask(f, 10.0))
+        _, peak = peak_alloc(decode_sparse, s)
+        assert peak <= 2.25 * 8 * 512 * 512
+
 
 class TestPackUnpack:
     def make_spectra(self, count, k=20.0, seed=102):
@@ -127,6 +141,12 @@ class TestPackUnpack:
             f = dct2(Matrix(rng.standard_normal((6, 5))))
             out.append(encode_sparse(f"layer.{i}.query", f, topk_mask(f, k)))
         return out
+
+    def test_pack_copies_each_half_once(self, peak_alloc):
+        count = 26_214
+        s = sparse(np.arange(count) * 10, np.ones(count), shape=(512, 512), k=10.0)
+        _, peak = peak_alloc(pack_sparse_file, [s])
+        assert peak <= 2.1 * 8 * count
 
     def test_structure_single_spectrum(self):
         s = sparse([0, 2, 3], [1.0, 2.0, 3.0], shape=(2, 2), name="t")
@@ -265,6 +285,124 @@ class TestPackUnpack:
         else:
             with pytest.raises(CorruptSparse, match="2\\^32"):
                 unpack_sparse_file(file)
+
+
+
+def mutate(raw: bytes, edits) -> bytes:
+    """raw with each (position, width, replacement) splice applied in turn."""
+    for pos, width, new in edits:
+        raw = raw[:pos] + new + raw[pos + width :]
+    return raw
+
+
+def data_start(raw: bytes, name: str) -> int:
+    """File offset of the first byte of tensor name's data."""
+    (header_len,) = struct.unpack("<Q", raw[:8])
+    header = json.loads(raw[8 : 8 + header_len])
+    return 8 + header_len + header[name]["data_offsets"][0]
+
+
+def lora_container() -> bytes:
+    rng = np.random.default_rng(104)
+    tensors = []
+    for layer, (dtype, np_dtype) in enumerate(
+        (("F16", "<f2"), ("F32", "<f4"), ("F64", "<f8"))
+    ):
+        prefix = f"layers.{layer}.query"
+        a = rng.standard_normal(2 * 6).astype(np_dtype)
+        b = rng.standard_normal(5 * 2).astype(np_dtype)
+        tensors += [
+            TensorRecord(f"{prefix}.lora_A.weight", dtype, (2, 6), a),
+            TensorRecord(f"{prefix}.lora_B.weight", dtype, (5, 2), b),
+        ]
+    return write_container(AdapterFile(tuple(tensors), {"alpha": "4", "r": "2"}))
+
+
+def sparse_container() -> bytes:
+    rng = np.random.default_rng(105)
+    spectra = []
+    for i in range(2):
+        f = dct2(Matrix(rng.standard_normal((8, 8))))
+        spectra.append(encode_sparse(f"layers.{i}.query", f, topk_mask(f, 20.0)))
+    return write_container(pack_sparse_file(spectra))
+
+
+LORA_RAW = lora_container()
+SPARSE_RAW = sparse_container()
+SIGNALLING_NAN_F32 = struct.pack("<I", 0x7F800001)
+OVERFLOWING_SHAPE = b"[4294967296,4294967296,4294967296]"
+DEEP_HEADER = struct.pack("<Q", 100_000) + b"[" * 100_000
+LONG_INT_HEADER = struct.pack("<Q", 5_002) + b"[" + b"1" * 5_000 + b"]"
+HEADER_CHARS = '0123456789-+.eE,:[]{}" _ABFSdfhlnrsty'
+# File offsets of the F32 tensors whose first value the examples overwrite.
+F32_FACTOR_AT = data_start(LORA_RAW, "layers.1.query.lora_A.weight")
+F32_VALUES_AT = data_start(SPARSE_RAW, "layers.0.query.spectral_values")
+
+
+def overwrites(raw: bytes):
+    """Overwrite one byte of raw with any byte or a JSON-ish character."""
+    return st.tuples(
+        st.integers(0, len(raw) - 1),
+        st.just(1),
+        st.one_of(
+            st.binary(min_size=1, max_size=1),
+            st.sampled_from(HEADER_CHARS).map(str.encode),
+        ),
+    )
+
+
+def header_splices(raw: bytes):
+    """Replace up to 3 header characters with up to 4 JSON-ish ones."""
+    header_end = 8 + struct.unpack("<Q", raw[:8])[0]
+    return st.tuples(
+        st.integers(8, header_end),
+        st.integers(0, 3),
+        st.text(HEADER_CHARS, max_size=4).map(str.encode),
+    )
+
+
+class TestMutatedFiles:
+    """Mutated files raise only LorafreqError subclasses, nothing else."""
+
+    # Splices are safe here: every factor a mutant declares is read from the
+    # file, so neither side of a spectrum exceeds the file's length.
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(overwrites(LORA_RAW), header_splices(LORA_RAW)),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    @example([(0, 8, b"\xff" * 8)])
+    @example([(LORA_RAW.index(b"[5,2]"), 5, OVERFLOWING_SHAPE)])
+    @example([(F32_FACTOR_AT, 4, SIGNALLING_NAN_F32)])
+    @example([(0, len(LORA_RAW), DEEP_HEADER)])
+    @example([(0, len(LORA_RAW), LONG_INT_HEADER)])
+    def test_lora_container(self, edits):
+        try:
+            pairs = pair_lora(read_container(mutate(LORA_RAW, edits))).pairs
+            for pair in pairs:
+                spectrum = dct2_factored(pair.b_matrix, pair.a_matrix, pair.scale)
+                energy_curve(spectrum)
+                topk_mask(spectrum, 10.0)
+        except LorafreqError:
+            pass
+
+    # Only overwrites: each adds at most one digit to the shape metadata, so
+    # no mutant makes decode_sparse allocate much.
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(overwrites(SPARSE_RAW), min_size=1, max_size=4))
+    @example([(0, 8, b"\xff" * 8)])
+    @example([(SPARSE_RAW.index(b"[1,13]"), 6, OVERFLOWING_SHAPE)])
+    @example([(SPARSE_RAW.index(b'"8,8"'), 5, b'"4294967296,4294967296"')])
+    @example([(F32_VALUES_AT, 4, SIGNALLING_NAN_F32)])
+    def test_sparse_file(self, edits):
+        try:
+            for s in unpack_sparse_file(read_container(mutate(SPARSE_RAW, edits))):
+                decode_sparse(s)
+        except LorafreqError:
+            pass
 
 
 class TestStorageReport:

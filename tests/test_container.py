@@ -512,3 +512,41 @@ class TestMergeDelta:
     def test_rank_exceeding_dims_rejected(self):
         with pytest.raises(ShapeMismatch):
             self.make_pair(np.zeros((5, 3)), np.zeros((4, 5)))
+
+
+class TestCopies:
+    """Each array crosses between file bytes and records with one copy."""
+
+    def three_tensors(self, n=512) -> AdapterFile:
+        rng = np.random.default_rng(75)
+        return AdapterFile(
+            tensors=(
+                TensorRecord("a", "F64", (n, n), rng.standard_normal(n * n)),
+                TensorRecord("b", "F64", (n, n), rng.standard_normal(n * n)),
+                TensorRecord("c", "F32", (n, n), rng.standard_normal(n * n)),
+            )
+        )
+
+    def test_write_allocates_little_beyond_the_file(self, peak_alloc):
+        raw, peak = peak_alloc(write_container, self.three_tensors())
+        assert peak <= 1.3 * len(raw)
+
+    def test_read_allocates_little_beyond_the_records(self, peak_alloc):
+        raw = write_container(self.three_tensors())
+        out, peak = peak_alloc(read_container, raw)
+        assert peak <= 1.1 * sum(t.data.nbytes for t in out.tensors)
+
+    def test_records_do_not_alias_a_bytearray(self):
+        raw = write_container(self.three_tensors(n=4))
+        buf = bytearray(raw)
+        out = read_container(buf)
+        buf[8:] = bytes(len(buf) - 8)
+        assert out.tensors == read_container(raw).tensors
+
+    @pytest.mark.parametrize("shape", [(6,), (2, 3)])
+    def test_record_does_not_alias_its_source(self, shape):
+        src = np.arange(6.0).reshape(shape)
+        t = TensorRecord("t", "F64", (2, 3), src)
+        src[...] = -1.0
+        np.testing.assert_array_equal(t.data, np.arange(6.0))
+        assert t.data.ndim == 1 and not t.data.flags.writeable

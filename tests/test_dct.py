@@ -17,6 +17,7 @@ from lorafreq.dct import (
     dct2_reference,
     idct2,
     idct2_reference,
+    scatter_idct2,
 )
 from lorafreq.fixtures import (
     FixtureSpec,
@@ -128,6 +129,29 @@ class TestIdct2:
         x = rng.standard_normal((10, 13))
         back = idct2_reference(dct2_reference(Matrix(x))).array
         np.testing.assert_allclose(back, x, atol=1e-12)
+
+
+class TestScatterIdct2:
+    def test_matches_idct2_of_the_scattered_spectrum(self):
+        rng = np.random.default_rng(96)
+        indices = np.array([0, 3, 17, 40])
+        values = rng.standard_normal(4)
+        full = np.zeros(6 * 7)
+        full[indices] = values
+        want = idct2(Spectrum(Matrix(full.reshape(6, 7)))).array
+        got = scatter_idct2((6, 7), indices, values).array
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_leaves_the_values_untouched(self, dtype):
+        values = np.array([4.0, -1.5, 0.25], dtype=dtype)
+        scatter_idct2((4, 4), np.array([0, 5, 15]), values)
+        np.testing.assert_array_equal(values, np.array([4.0, -1.5, 0.25], dtype))
+        assert values.flags.writeable
+
+    def test_non_finite_value_raises(self):
+        with pytest.raises(ValueError, match="finite"):
+            scatter_idct2((3, 3), np.array([4]), np.array([np.inf]))
 
 
 class TestReference:
