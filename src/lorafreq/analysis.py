@@ -3,7 +3,9 @@
 Everything operates on the orthonormal DCT-II spectrum, where squared
 coefficients are energies and Parseval ties masking error to dropped
 energy exactly: ||dW - dW_k||_F^2 is the sum of the squared coefficients
-the mask leaves out.
+the mask leaves out. The curve and the sweep both read one descending
+buffer of squared coefficients, sorted once per matrix; a sweep takes every
+k from that buffer.
 """
 
 from __future__ import annotations
@@ -97,7 +99,20 @@ class HeatmapTable:
 
 def energy_curve(f: Spectrum) -> EnergyCurve:
     """Square, sort descending, accumulate."""
-    return _curve_from_descending(np.sort(f.coefficients.data**2)[::-1])
+    return _curve_from_descending(_descending_energies(f))
+
+
+def _descending_energies(f: Spectrum) -> np.ndarray:
+    """F**2 sorted descending, in one owned buffer.
+
+    The squares are negated, sorted ascending in place and negated back;
+    negation is exact, so no second m*n array is made.
+    """
+    energies = np.square(f.coefficients.data)
+    np.negative(energies, out=energies)
+    energies.sort()
+    np.negative(energies, out=energies)
+    return energies
 
 
 def _curve_from_descending(energies: np.ndarray) -> EnergyCurve:
@@ -195,27 +210,34 @@ def reconstruct(f: Spectrum, mask: MaskResult) -> Matrix:
 def sweep(x: Matrix | Spectrum, k_values: list[float]) -> list[SweepPoint]:
     """Mask metrics for each k of one spectrum; a merged update is transformed.
 
-    By Parseval the relative reconstruction error is sqrt(dropped / total),
-    where dropped sums the squared coefficients each mask leaves out; no
-    inverse transform is run.
+    One descending sort of F**2 serves every k: tied |F| have equal energy,
+    so the top-k_count energy is the sorted prefix whichever tie a mask
+    keeps. By Parseval the relative reconstruction error is
+    sqrt(dropped / total), where dropped sums the sorted suffix; no mask is
+    built and no inverse transform is run. Every sum is numpy's pairwise sum.
     """
     for k in k_values:
         if not 0.0 < k <= 100.0:
             raise ValueError(f"k values must be in (0, 100], got {k}")
-    f = x if isinstance(x, Spectrum) else dct2(x)
-    energy = f.coefficients.data**2
-    total = float(np.sum(energy))
+    energies = _descending_energies(x if isinstance(x, Spectrum) else dct2(x))
+    total = float(np.sum(energies))
+    if k_values and total == 0.0:
+        raise ZeroSpectrum("zero-energy spectrum has no top-k selection")
+    size = energies.size
     points = []
     for k in k_values:
-        mask = topk_mask(f, k)
-        dropped = energy.copy()
-        dropped[mask.retained_flat_indices] = 0.0
+        k_count = mask_count(k, size)
+        if k_count == size:
+            fraction = 1.0
+        else:
+            fraction = float(np.sum(energies[:k_count])) / total
+            fraction = min(1.0, max(0.0, fraction))
         points.append(
             SweepPoint(
                 k_percent=float(k),
-                relative_error=math.sqrt(float(np.sum(dropped)) / total),
-                retained_energy_fraction=mask.retained_energy_fraction,
-                k_count=mask.k_count,
+                relative_error=math.sqrt(float(np.sum(energies[k_count:])) / total),
+                retained_energy_fraction=fraction,
+                k_count=k_count,
             )
         )
     return points

@@ -75,7 +75,8 @@ _threads_option = click.option(
     "--threads",
     type=click.IntRange(1),
     default=None,
-    help="Worker threads for per-matrix stages [default: logical cores].",
+    help="Worker threads for per-matrix stages [default: the cores this "
+    "process may run on].",
 )
 
 

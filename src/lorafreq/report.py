@@ -52,13 +52,14 @@ def effective_pairs(file: AdapterFile, scale_override: float | None = None):
 
 
 def map_matrices(fn, items, threads: int | None) -> list:
-    """fn over items on one thread pool (None: one thread per core), in order.
+    """fn over items on one thread pool (None: one per usable core), in order.
 
     The zero-update rule of every command: an item for which fn raises
     ZeroSpectrum is skipped with a warning naming its prefix (decompress's
     fn never raises it), and ZeroSpectrum is raised when no item is left.
     """
-    with ThreadPoolExecutor(max_workers=threads or os.cpu_count()) as pool:
+    workers = threads or len(os.sched_getaffinity(0))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(fn, item) for item in items]
     live = []
     for item, future in zip(items, futures):

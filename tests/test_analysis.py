@@ -37,6 +37,15 @@ def dct_mode(length: int, index: int) -> np.ndarray:
     return scale * np.cos(np.pi * (2 * i + 1) * index / (2 * length))
 
 
+CURVE_SPECTRA = {
+    "ties": [[3.0, -3.0, 1.0, 3.0], [-1.0, 1.0, 3.0, -3.0]],
+    "signed-zeros": [[0.0, -0.0, 1.0], [-0.0, 0.0, -1.0], [0.0, 2.0, -0.0]],
+    # Squares that are subnormal (1e-160**2), or that underflow to +0.0.
+    "subnormal": [[1e-160, -1e-160, 3e-155], [2e-170, -0.0, 5e-162]],
+    "all-zero": np.zeros((3, 5)),
+}
+
+
 class TestEnergyCurve:
     def test_two_values(self):
         curve = energy_curve(spectrum_of([[2.0, 1.0]]))
@@ -88,6 +97,18 @@ class TestEnergyCurve:
         f = spectrum_of(rng.standard_normal((512, 512)))
         _, peak = peak_alloc(energy_curve, f)
         assert peak <= 2.1 * 8 * 512 * 512
+
+    @pytest.mark.parametrize("name", sorted(CURVE_SPECTRA))
+    def test_bytes_match_sort_then_reverse(self, name):
+        flat = np.asarray(CURVE_SPECTRA[name], dtype=np.float64).reshape(-1)
+        curve = energy_curve(spectrum_of(CURVE_SPECTRA[name]))
+        energies = np.sort(flat**2)[::-1]
+        prefix = np.cumsum(energies)
+        total = float(prefix[-1])
+        fraction = prefix / total if total else np.empty(0)
+        assert curve.sorted_energies.tobytes() == energies.tobytes()
+        assert curve.cumulative_fraction.tobytes() == fraction.tobytes()
+        assert curve.total_energy == total
 
 
 class TestKForEnergy:
@@ -314,7 +335,8 @@ class TestTopkOracle:
             sq_error = np.sum((delta.array - reconstruct(f, ref).array) ** 2)
             err = math.sqrt(float(sq_error)) / norm
             assert point.k_percent == float(k)
-            assert point.retained_energy_fraction == fraction
+            fsum_fraction = math.fsum(values**2) / math.fsum(flat**2)
+            assert abs(point.retained_energy_fraction - fsum_fraction) <= 1e-15
             assert point.k_count == chosen.size
             assert point.relative_error == pytest.approx(err, rel=0, abs=1e-12)
 
@@ -353,7 +375,55 @@ class TestReconstruct:
             reconstruct(f_small, mask)
 
 
+def fsum_sweep_point(flat: np.ndarray, k_percent: float):
+    """(k_count, fraction, relative error) of the reference selection, each
+    sum taken exactly by math.fsum."""
+    chosen, values, _ = reference_selection(flat, k_percent)
+    total = math.fsum(flat**2)
+    dropped = math.fsum(np.delete(flat, chosen) ** 2)
+    return chosen.size, math.fsum(values**2) / total, math.sqrt(dropped / total)
+
+
+FSUM_SPECTRA = {
+    **{
+        f"random-1e{e}": spectrum_of(
+            10.0**e * np.random.default_rng(98).standard_normal((37, 29))
+        )
+        for e in (-100, 0, 50)
+    },
+    "lowrank-r3": dct2(Matrix(
+        np.random.default_rng(99).standard_normal((40, 3))
+        @ np.random.default_rng(100).standard_normal((3, 30))
+    )),
+    "smooth-r1": dct2(smooth_lowrank_delta(1)),
+    "smooth-51x56-r3": dct2(merge_delta(pair_lora(generate(FixtureSpec(
+        kind="smooth_lowrank", m=51, n=56, r=3, seed=11
+    ))).pairs[0])),
+    **{f"tied-{name}": spectrum_of(v) for name, v in TIE_SPECTRA.items()},
+}
+
+
 class TestSweep:
+    @pytest.mark.parametrize("name", sorted(FSUM_SPECTRA))
+    def test_points_within_1e15_of_exact_sums(self, name):
+        f = FSUM_SPECTRA[name]
+        flat = f.coefficients.data
+        for point, k in zip(sweep(f, ORACLE_K), ORACLE_K):
+            k_count, fraction, error = fsum_sweep_point(flat, k)
+            assert point.k_count == k_count
+            assert abs(point.retained_energy_fraction - fraction) <= 1e-15
+            assert abs(point.relative_error - error) <= 1e-15 * error
+
+    def test_empty_k_list_on_a_zero_spectrum(self):
+        assert sweep(Matrix(np.zeros((4, 4))), []) == []
+        assert sweep(spectrum_of(np.zeros((4, 4))), []) == []
+
+    def test_holds_one_array_of_the_spectrum_size(self, peak_alloc):
+        f = spectrum_of(np.random.default_rng(97).standard_normal((512, 512)))
+        points, peak = peak_alloc(sweep, f, ORACLE_K)
+        assert len(points) == len(ORACLE_K)
+        assert peak <= 1.1 * 8 * 512 * 512
+
     def test_full_k_near_zero_error(self):
         rng = np.random.default_rng(91)
         points = sweep(Matrix(rng.standard_normal((10, 12))), [100.0])

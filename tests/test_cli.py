@@ -7,6 +7,7 @@ import struct
 import subprocess
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 from pathlib import Path
 
@@ -17,6 +18,7 @@ import pytest
 import lorafreq
 import lorafreq.container
 import lorafreq.dct
+from lorafreq import report
 from lorafreq.cli import _write_bytes, main
 from lorafreq.container import (
     AdapterFile,
@@ -682,6 +684,23 @@ class TestDeterminism:
             else:
                 outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+    def test_default_pool_has_one_thread_per_usable_core(self, monkeypatch):
+        """Without --threads the pool follows the affinity mask, not the
+        machine's core count, since each worker holds an m x n spectrum."""
+        sizes = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(report, "ThreadPoolExecutor", RecordingPool)
+        assert report.map_matrices(lambda x: 2 * x, [1, 2, 3], None) == [2, 4, 6]
+        assert report.map_matrices(lambda x: 2 * x, [1, 2, 3], 3) == [2, 4, 6]
+        assert sizes == [1, 3]
 
     def test_blas_threads_do_not_change_output(self, tmp_path):
         """Each spectrum is a BLAS product; its bytes must not follow BLAS's
