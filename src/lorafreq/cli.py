@@ -110,7 +110,8 @@ def cmd_analyze(input, out, energy_target, scale, threads):
 
     out_dir = Path(out)
     _write_text(out_dir / "report.json", _json_text(doc))
-    combined: list[tuple] = []
+    header = ("coefficient_rank_percent", "cumulative_fraction")
+    combined = [_csv_text(("matrix_prefix", *header), ())]
     for i, (pair, (_, points)) in enumerate(zip(pairs, rows_points)):
         if not points:
             click.echo(
@@ -118,18 +119,10 @@ def cmd_analyze(input, out, energy_target, scale, threads):
                 err=True,
             )
         name = f"matrix_{i:03d}_{_slug(pair.prefix)}.curve.csv"
-        _write_text(
-            out_dir / name,
-            _csv_text(("coefficient_rank_percent", "cumulative_fraction"), points),
-        )
-        combined.extend((pair.prefix, p, f) for p, f in points)
-    _write_text(
-        out_dir / "curves_combined.csv",
-        _csv_text(
-            ("matrix_prefix", "coefficient_rank_percent", "cumulative_fraction"),
-            combined,
-        ),
-    )
+        text = _csv_text(header, points)
+        _write_text(out_dir / name, text)
+        combined.append(_prefixed_rows(pair.prefix, text))
+    _write_text(out_dir / "curves_combined.csv", "".join(combined))
     click.echo(f"analyzed {len(pairs)} matrices into {out}", err=True)
 
 
@@ -364,6 +357,17 @@ def _csv_text(header, rows) -> str:
     writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue()
+
+
+def _prefixed_rows(prefix: str, text: str) -> str:
+    """The data rows of ``_csv_text`` output, each led by ``prefix`` as one
+    more field, so the rows' numbers are not formatted a second time.
+
+    The prefix is quoted as csv quotes it in a row of two or more fields;
+    alone in a row, an empty field would be written as ``""`` instead.
+    """
+    lead = _csv_text((prefix, ""), ())[:-1]
+    return "".join(f"{lead}{row}\n" for row in text.split("\n")[1:-1])
 
 
 def _write_bytes(path: Path, data: bytes) -> None:

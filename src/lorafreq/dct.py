@@ -17,6 +17,11 @@ the column DCT of the m x r factor and the row DCT of the r x n factor, then
 forms one product; the m x n update itself is never built. Every command
 gets its spectrum this way. ``dct2`` of a merged update is the library and
 test reference for it.
+
+The factor transforms run on ``numpy.fft``. The full-size transforms
+(``dct2``, ``idct2``, ``scatter_idct2``) run on ``scipy.fft``, imported on
+first use: importing scipy costs more than analyzing a BERT-base-sized
+adapter, and only decompress, ``mask --emit dense`` and the library need it.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import fft as _fft
 
 from .linalg import Matrix
 
@@ -39,7 +43,9 @@ class Spectrum:
 
 def dct2(x: Matrix) -> Spectrum:
     """Forward orthonormal 2D DCT-II."""
-    coeffs = _fft.dctn(x.array, type=2, norm="ortho")
+    from scipy import fft
+
+    coeffs = fft.dctn(x.array, type=2, norm="ortho")
     return Spectrum(Matrix(coeffs))
 
 
@@ -51,8 +57,8 @@ def dct2_factored(b: Matrix, a: Matrix, scale: float) -> Spectrum:
     applied to the product, as the merge applies it, so a scale that would
     overflow or underflow a factor alone stays harmless.
     """
-    left = _fft.dct(b.array, type=2, norm="ortho", axis=0)
-    right = _fft.dct(a.array, type=2, norm="ortho", axis=1)
+    left = _dct_axis(b.array, axis=0)
+    right = _dct_axis(a.array, axis=1)
     coeffs = left @ right
     coeffs *= float(scale)
     return Spectrum(Matrix(coeffs))
@@ -60,7 +66,9 @@ def dct2_factored(b: Matrix, a: Matrix, scale: float) -> Spectrum:
 
 def idct2(f: Spectrum) -> Matrix:
     """Inverse of :func:`dct2` (separable orthonormal DCT-III)."""
-    return Matrix(_fft.idctn(f.coefficients.array, type=2, norm="ortho"))
+    from scipy import fft
+
+    return Matrix(fft.idctn(f.coefficients.array, type=2, norm="ortho"))
 
 
 def scatter_idct2(shape: tuple[int, int], flat_indices, values) -> Matrix:
@@ -69,11 +77,34 @@ def scatter_idct2(shape: tuple[int, int], flat_indices, values) -> Matrix:
     Allocates one m x n buffer, inverts it in place, and copies it once
     into the returned Matrix; ``values`` is only read.
     """
+    from scipy import fft
+
     m, n = shape
     flat = np.zeros(m * n)
     flat[flat_indices] = values
-    inverse = _fft.idctn(flat.reshape(m, n), type=2, norm="ortho", overwrite_x=True)
+    inverse = fft.idctn(flat.reshape(m, n), type=2, norm="ortho", overwrite_x=True)
     return Matrix(inverse)
+
+
+def _dct_axis(x: np.ndarray, axis: int) -> np.ndarray:
+    """Orthonormal DCT-II of a 2-D array along one axis, via one complex FFT.
+
+    Makhoul's reordering (IEEE TASSP 1980): with v the even-indexed entries
+    followed by the odd-indexed ones reversed, the unscaled DCT-II is
+    X[k] = Re(exp(-i pi k / 2N) FFT(v)[k]). Returns a new C-contiguous
+    float64 array, which the caller may write to.
+    """
+    if axis == 0:
+        return _dct_axis(x.T, axis=1).T.copy()
+    n = x.shape[1]
+    v = np.concatenate((x[:, 0::2], x[:, 1::2][:, ::-1]), axis=1)
+    spectrum = np.fft.fft(v, axis=1)
+    angle = np.pi * np.arange(n) / (2 * n)
+    norm = np.full(n, np.sqrt(2.0 / n))
+    norm[0] = np.sqrt(1.0 / n)
+    out = spectrum.real * (norm * np.cos(angle))
+    out += spectrum.imag * (norm * np.sin(angle))
+    return out
 
 
 def dct2_reference(x: Matrix) -> Spectrum:

@@ -4,7 +4,8 @@ The two-sided p-value for a Pearson r at sample size n uses the identity
 p = I_x(nu/2, 1/2) with nu = n - 2 and x = nu / (nu + t^2), where I is the
 regularized incomplete beta function (scipy.special.betainc). This is the
 exact Student-t tail, not a normal approximation: the claims it supports
-live around p ~ 1e-9 and far beyond, deep in the tail.
+live around p ~ 1e-9 and far beyond, deep in the tail. scipy.special is
+imported inside the p-value, so only correlate pays for loading scipy.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special
 
 from .analysis import _curve_from_descending, k_for_energy
 from .errors import DegenerateInput
@@ -69,6 +69,8 @@ def pearson_p_two_sided(r: float, n: int) -> float:
     nu = n - 2
     t_sq = r * r * nu / (1.0 - r * r)
     x = nu / (nu + t_sq)
+    import scipy.special
+
     return float(scipy.special.betainc(nu / 2.0, 0.5, x))
 
 

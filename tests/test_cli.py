@@ -1,5 +1,6 @@
 """CLI exit codes, file products, schema conformance, determinism."""
 
+import csv
 import json
 import math
 import os
@@ -14,12 +15,12 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+import scipy.fft
 
 import lorafreq
 import lorafreq.container
-import lorafreq.dct
 from lorafreq import report
-from lorafreq.cli import _write_bytes, main
+from lorafreq.cli import _csv_text, _write_bytes, main
 from lorafreq.container import (
     AdapterFile,
     TensorRecord,
@@ -106,6 +107,35 @@ class TestAnalyze:
         # combined stacks exactly the per-matrix rows
         per_rows = sum(len(f.read_text().splitlines()) - 1 for f in curve_files)
         assert len(combined) - 1 == per_rows
+
+    def test_combined_rows_quote_prefixes_as_csv_does(self, tmp_path):
+        prefixes = ["a,b", 'say "hi"', "line\nbreak", "cr\rhere", "", "plain"]
+        rng = np.random.default_rng(7)
+        tensors = []
+        for prefix in prefixes:
+            lead = f"{prefix}." if prefix else ""
+            tensors += [
+                TensorRecord(f"{lead}lora_A.weight", "F64", (2, 5),
+                             rng.standard_normal((2, 5))),
+                TensorRecord(f"{lead}lora_B.weight", "F64", (3, 2),
+                             rng.standard_normal((3, 2))),
+            ]
+        src = tmp_path / "q.st"
+        src.write_bytes(write_container(AdapterFile(tensors=tuple(tensors), metadata={})))
+        out = tmp_path / "rep"
+        assert main(["analyze", str(src), "--out", str(out)]) == 0
+        doc = json.loads((out / "report.json").read_text())
+        rows = []
+        for i, row in enumerate(doc["per_matrix"]):
+            (curve,) = out.glob(f"matrix_{i:03d}_*.curve.csv")
+            with open(curve, newline="") as fh:
+                points = list(csv.reader(fh))[1:]
+            rows += [(row["prefix"], float(p), float(f)) for p, f in points]
+        assert sorted({prefix for prefix, _, _ in rows}) == sorted(prefixes)
+        want = _csv_text(
+            ("matrix_prefix", "coefficient_rank_percent", "cumulative_fraction"), rows
+        )
+        assert (out / "curves_combined.csv").read_bytes() == want.encode()
 
     def test_smooth_fixture_mean_below_one_percent(self, tmp_path):
         src = synth(tmp_path, kind="smooth_lowrank", m=64, n=64, r=2,
@@ -540,6 +570,56 @@ def test_cli_import_loads_no_scipy_stats_or_mpmath():
     assert done.stdout.strip() == "[]"
 
 
+_LOADED_SCIPY = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+def test_package_import_loads_no_scipy():
+    """Importing scipy costs more than analyzing a BERT-base-sized adapter."""
+    code = f"import sys, lorafreq, lorafreq.cli; print({_LOADED_SCIPY})"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=subprocess_env(),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    assert done.stdout.strip() == "[]"
+
+
+def test_only_full_size_inverses_and_the_p_value_load_scipy(tmp_path):
+    """synth, analyze, sparse mask and sweep run without scipy; decompress
+    and correlate load it on first use."""
+    code = f"""
+import sys
+from lorafreq.cli import main
+d = sys.argv[1]
+src = d + "/a.st"
+for argv in (
+    ["synth", "--kind", "mixed", "--m", "24", "--n", "20", "--count", "4",
+     "--rank-ramp", "--noise-level", "0.1", "--out", src],
+    ["analyze", src, "--out", d + "/rep"],
+    ["mask", src, "--k", "10", "--out", d + "/s.st"],
+    ["sweep", src, "--k-list", "5,50", "--out", d + "/sweep.csv"],
+):
+    assert main(argv) == 0, argv[0]
+print({_LOADED_SCIPY})
+assert main(["decompress", d + "/s.st", "--out", d + "/d.st"]) == 0
+assert main(["correlate", src, "--out", d + "/c.json"]) == 0
+"""
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)],
+        env=subprocess_env(),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"  # after mask's accounting lines
+    assert json.loads((tmp_path / "c.json").read_text())["n"] == 4
+    assert read_container((tmp_path / "d.st").read_bytes()).tensors
+
+
 def test_commands_take_the_spectrum_from_the_factors(tmp_path, monkeypatch):
     """No command merges an m x n update, transforms one, or inverts per k."""
     src = synth(tmp_path, count=4, **{"rank-ramp": True})
@@ -548,8 +628,8 @@ def test_commands_take_the_spectrum_from_the_factors(tmp_path, monkeypatch):
         raise AssertionError("a command merged, transformed or inverted an update")
 
     monkeypatch.setattr(lorafreq.container, "matmul", forbidden)
-    monkeypatch.setattr(lorafreq.dct._fft, "dctn", forbidden)
-    monkeypatch.setattr(lorafreq.dct._fft, "idctn", forbidden)
+    monkeypatch.setattr(scipy.fft, "dctn", forbidden)
+    monkeypatch.setattr(scipy.fft, "idctn", forbidden)
     pair = pair_lora(read_container(src.read_bytes())).pairs[0]
     with pytest.raises(AssertionError):
         merge_delta(pair)

@@ -7,11 +7,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy import fft
 
 from lorafreq.analysis import energy_curve, k_for_energy
 from lorafreq.container import merge_delta, pair_lora
 from lorafreq.dct import (
     Spectrum,
+    _dct_axis,
     dct2,
     dct2_factored,
     dct2_reference,
@@ -187,6 +189,26 @@ class TestReference:
             )
 
 
+class TestDctAxis:
+    """The factor transform against scipy's orthonormal DCT-II."""
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("r", [1, 3, 8, 16])
+    @pytest.mark.parametrize("length", [1, 2, 3, 7, 51, 128, 768, 4096])
+    def test_matches_scipy(self, length, r, axis):
+        rng = np.random.default_rng(length * 100 + r * 10 + axis)
+        x = rng.standard_normal((length, r) if axis == 0 else (r, length))
+        x.setflags(write=False)
+        got = _dct_axis(x, axis)
+        want = fft.dct(x, type=2, norm="ortho", axis=axis)
+        eps = np.finfo(float).eps
+        assert np.max(np.abs(got - want)) <= 4 * eps * np.linalg.norm(x)
+        # dct2_factored scales its product in place, so the result is its own.
+        assert got.dtype == np.float64
+        assert got.flags.c_contiguous and got.flags.owndata and got.flags.writeable
+        assert _dct_axis(x, axis).tobytes() == got.tobytes()
+
+
 def fixture_pair(kind, m, n, r=1, seed=0, noise_level=0.0):
     spec = FixtureSpec(kind=kind, m=m, n=n, r=r, seed=seed, noise_level=noise_level)
     return pair_lora(generate(spec)).pairs[0]
@@ -228,8 +250,10 @@ class TestDct2Factored:
             ("gaussian_iid", 24, 36, 24, 0.0),
             ("dense_gaussian", 48, 32, 1, 0.0),
             ("dense_gaussian", 32, 48, 1, 0.0),
+            ("gaussian_iid", 1, 1, 1, 0.0),
+            ("mixed", 768, 51, 8, 0.3),
         ],
-        ids=["m>n", "m<n", "r=1", "r=min", "identity-A", "identity-B"],
+        ids=["m>n", "m<n", "r=1", "r=min", "identity-A", "identity-B", "1x1", "odd-n"],
     )
     def test_within_rounding_of_merged_dct(self, kind, m, n, r, noise, scale):
         pair = fixture_pair(kind, m, n, r, seed=11, noise_level=noise)
