@@ -20,14 +20,16 @@ import json
 import os
 import re
 import tempfile
+from functools import partial
+from itertools import chain
 from pathlib import Path
 
 import click
 
 from . import codec, report
-from .analysis import reconstruct, sweep, topk_mask
-from .container import AdapterFile, TensorRecord, read_container, write_container
-from .dct import dct2_factored
+from .analysis import sweep, topk_mask
+from .container import container_header, read_container, write_container
+from .dct import dct2_factored, scatter_idct2
 from .errors import (
     ContainerError,
     CorruptSparse,
@@ -160,19 +162,22 @@ def cmd_mask(input, k, out, emit, base_params, scale, threads):
         mask = topk_mask(spectrum, k)
         if emit == "sparse":
             return mask.k_count, codec.encode_sparse(pair.prefix, spectrum, mask)
-        recon = reconstruct(spectrum, mask)
-        name = f"{pair.prefix}.delta_w"
-        return mask.k_count, TensorRecord(name, "F64", recon.shape, recon.array)
+        # Only the kept coefficients wait for the file; the spectrum is freed.
+        shape = spectrum.coefficients.shape
+        inverse = partial(
+            scatter_idct2, shape, mask.retained_flat_indices, mask.retained_values
+        )
+        return mask.k_count, (f"{pair.prefix}.delta_w", shape, inverse)
 
     counts, items = zip(*report.map_matrices(one, pairs, threads))
     base = base_params or sum(p.out_shape[0] * p.out_shape[1] for p in pairs)
     accounting = codec.storage_report(base, k, list(counts))
 
     if emit == "sparse":
-        out_file = codec.pack_sparse_file(list(items))
+        sparse_file = codec.pack_sparse_file(list(items))
+        _write_chunks(Path(out), [write_container(sparse_file)])
     else:
-        out_file = AdapterFile(tensors=items, metadata={})
-    _write_bytes(Path(out), write_container(out_file))
+        _write_dense(Path(out), items, threads)
 
     click.echo(
         f"nominal accounting: base {accounting.base_param_count} parameters, "
@@ -196,16 +201,12 @@ def cmd_mask(input, k, out, emit, base_params, scale, threads):
 @_threads_option
 def cmd_decompress(input, out, threads):
     """Reconstruct dense updates from a sparse spectral file."""
-    file = read_container(Path(input).read_bytes())
-    spectra = codec.unpack_sparse_file(file)
-
-    def one(s):
-        dense = codec.decode_sparse(s)
-        return TensorRecord(f"{s.name}.delta_w", "F64", dense.shape, dense.array)
-
-    tensors = report.map_matrices(one, spectra, threads)
-    out_file = AdapterFile(tensors=tuple(tensors), metadata={})
-    _write_bytes(Path(out), write_container(out_file))
+    spectra = codec.unpack_sparse_file(read_container(Path(input).read_bytes()))
+    tensors = [
+        (f"{s.name}.delta_w", s.shape, partial(codec.decode_sparse, s))
+        for s in spectra
+    ]
+    _write_dense(Path(out), tensors, threads)
     click.echo(f"decompressed {len(tensors)} matrices into {out}", err=True)
 
 
@@ -228,7 +229,7 @@ def cmd_sweep(input, k_list, out, scale, threads):
         spectrum = dct2_factored(pair.b_matrix, pair.a_matrix, pair.scale)
         return pair.prefix, sweep(spectrum, k_list)
 
-    live = report.map_matrices(one, pairs, threads)
+    live = list(report.map_matrices(one, pairs, threads))
     rows = [
         (prefix, pt.k_percent, pt.relative_error, pt.retained_energy_fraction)
         for prefix, points in sorted(live, key=lambda item: item[0])
@@ -296,7 +297,7 @@ def cmd_synth(kind, m, n, r, seed, count, noise_level, rank_ramp, out):
             kind=kind, m=m, n=n, r=r, seed=seed, noise_level=noise_level
         )
         specs = repeat_specs(base, count)
-    _write_bytes(Path(out), write_container(generate_set(specs)))
+    _write_chunks(Path(out), [write_container(generate_set(specs))])
     click.echo(f"wrote {count} pair(s) to {out}", err=True)
 
 
@@ -370,7 +371,27 @@ def _prefixed_rows(prefix: str, text: str) -> str:
     return "".join(f"{lead}{row}\n" for row in text.split("\n")[1:-1])
 
 
-def _write_bytes(path: Path, data: bytes) -> None:
+def _write_dense(path: Path, tensors, threads) -> None:
+    """Write (name, shape, inverse) triples as a container of F64 tensors.
+
+    The header needs only names and shapes, so it is written first; each
+    inverse() then runs on the pool and its Matrix buffer goes straight
+    into the file, in sorted-name order, with at most ``threads`` alive.
+    """
+    tensors = sorted(tensors, key=lambda t: t[0])
+    header = container_header([(name, "F64", shape) for name, shape, _ in tensors])
+    payloads = report.map_matrices(
+        lambda t: t[2]().array.astype("<f8", copy=False),
+        tensors,
+        threads,
+        bounded=True,
+    )
+    _write_chunks(path, chain([header], payloads))
+
+
+def _write_chunks(path: Path, chunks) -> None:
+    """Write the chunks, in order, to a temp file beside path, sync it and
+    rename it into place; on any failure the temp file is removed."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(
         dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
@@ -378,7 +399,9 @@ def _write_bytes(path: Path, data: bytes) -> None:
     try:
         with os.fdopen(fd, "wb") as fh:
             os.fchmod(fh.fileno(), 0o666 & ~_UMASK)
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk)
+                del chunk  # freed before the next one is made
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -388,4 +411,4 @@ def _write_bytes(path: Path, data: bytes) -> None:
 
 
 def _write_text(path: Path, text: str) -> None:
-    _write_bytes(path, text.encode("utf-8"))
+    _write_chunks(path, [text.encode("utf-8")])

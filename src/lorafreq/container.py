@@ -219,41 +219,54 @@ def read_container(raw: bytes) -> AdapterFile:
 
 
 def write_container(file: AdapterFile) -> bytes:
-    """Serialize an AdapterFile.
-
-    Header keys are sorted lexicographically and data offsets are packed
-    contiguously in that order. Each tensor is written in its own dtype, so
-    narrow tensors (e.g. the binary32 half of a sparse spectral file) are
-    never widened.
+    """Serialize an AdapterFile: its ``container_header``, then each
+    tensor's payload in sorted-name order, in its own dtype, so narrow
+    tensors (e.g. the binary32 half of a sparse spectral file) are never
+    widened.
 
     Allocates the returned bytes and one narrowed copy of each F16/F32
     tensor; F64 data is joined straight from the records.
     """
-    names = [t.name for t in file.tensors]
+    tensors = sorted(file.tensors, key=lambda t: t.name)
+    header = container_header(
+        [(t.name, t.dtype, t.shape) for t in tensors], file.metadata
+    )
+    payloads = [t.data.astype(_NUMPY_DTYPES[t.dtype], copy=False) for t in tensors]
+    return b"".join([header, *payloads])
+
+
+def container_header(
+    tensors: list[tuple[str, str, tuple[int, ...]]],
+    metadata: dict[str, str] | None = None,
+) -> bytes:
+    """The length prefix and JSON header of a container holding the given
+    (name, dtype, shape) tensors, whose payloads follow it packed
+    contiguously in sorted-name order.
+
+    Header keys are sorted lexicographically. Only names and shapes are
+    read, so a writer can emit the header before any payload exists.
+    """
+    names = [name for name, _, _ in tensors]
     if len(set(names)) != len(names):
         raise DuplicateName("tensor names must be unique")
 
     header: dict[str, object] = {}
-    payloads = []
     offset = 0
-    for t in sorted(file.tensors, key=lambda t: t.name):
-        payload = t.data.astype(_NUMPY_DTYPES[t.dtype], copy=False)
-        header[t.name] = {
-            "dtype": t.dtype,
-            "shape": list(t.shape),
-            "data_offsets": [offset, offset + payload.nbytes],
+    for name, dtype, shape in sorted(tensors, key=lambda t: t[0]):
+        nbytes = math.prod(shape) * DTYPE_WIDTHS[dtype]
+        header[name] = {
+            "dtype": dtype,
+            "shape": [int(s) for s in shape],
+            "data_offsets": [offset, offset + nbytes],
         }
-        payloads.append(payload)
-        offset += payload.nbytes
-    if file.metadata:
-        header["__metadata__"] = {
-            str(k): str(v) for k, v in file.metadata.items()
-        }
+        offset += nbytes
+    if metadata:
+        header["__metadata__"] = {str(k): str(v) for k, v in metadata.items()}
 
     blob = json.dumps(
         header, sort_keys=True, separators=(",", ":"), ensure_ascii=False
     ).encode("utf-8")
-    return b"".join([struct.pack("<Q", len(blob)), blob, *payloads])
+    return struct.pack("<Q", len(blob)) + blob
 
 
 def pair_lora(file: AdapterFile) -> PairingResult:

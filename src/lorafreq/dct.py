@@ -18,10 +18,11 @@ forms one product; the m x n update itself is never built. Every command
 gets its spectrum this way. ``dct2`` of a merged update is the library and
 test reference for it.
 
-The factor transforms run on ``numpy.fft``. The full-size transforms
-(``dct2``, ``idct2``, ``scatter_idct2``) run on ``scipy.fft``, imported on
+The factor transforms and every inverse (``idct2``, ``scatter_idct2``) run
+on ``numpy.fft``; an inverse is computed in place in one m x n buffer. Only
+``dct2``, the library and test reference, runs on ``scipy.fft``, imported on
 first use: importing scipy costs more than analyzing a BERT-base-sized
-adapter, and only decompress, ``mask --emit dense`` and the library need it.
+adapter.
 """
 
 from __future__ import annotations
@@ -66,24 +67,30 @@ def dct2_factored(b: Matrix, a: Matrix, scale: float) -> Spectrum:
 
 def idct2(f: Spectrum) -> Matrix:
     """Inverse of :func:`dct2` (separable orthonormal DCT-III)."""
-    from scipy import fft
-
-    return Matrix(fft.idctn(f.coefficients.array, type=2, norm="ortho"))
+    return _inverted(np.array(f.coefficients.array))
 
 
 def scatter_idct2(shape: tuple[int, int], flat_indices, values) -> Matrix:
     """Inverse of a spectrum that is zero outside the given flat indices.
 
-    Allocates one m x n buffer, inverts it in place, and copies it once
-    into the returned Matrix; ``values`` is only read.
+    Allocates one m x n buffer, inverts it in place, and hands it to the
+    returned Matrix without a copy; ``values`` is only read.
     """
-    from scipy import fft
-
     m, n = shape
     flat = np.zeros(m * n)
     flat[flat_indices] = values
-    inverse = fft.idctn(flat.reshape(m, n), type=2, norm="ortho", overwrite_x=True)
-    return Matrix(inverse)
+    return _inverted(flat.reshape(m, n))
+
+
+def _inverted(buffer: np.ndarray) -> Matrix:
+    """The 2-D inverse of a writable C-contiguous spectrum, in its own buffer.
+
+    A non-finite coefficient raises Matrix's ValueError, not a warning.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        _idct_axis(buffer, axis=1)
+        _idct_axis(buffer, axis=0)
+    return Matrix(buffer, copy=False)
 
 
 def _dct_axis(x: np.ndarray, axis: int) -> np.ndarray:
@@ -105,6 +112,45 @@ def _dct_axis(x: np.ndarray, axis: int) -> np.ndarray:
     out = spectrum.real * (norm * np.cos(angle))
     out += spectrum.imag * (norm * np.sin(angle))
     return out
+
+
+# Rows (columns, for axis 0) that _idct_axis inverts per step. Its scratch
+# is about 24 * _BLOCK * N bytes, whatever the length of the other axis.
+_BLOCK = 8
+
+
+def _idct_axis(x: np.ndarray, axis: int) -> None:
+    """Orthonormal DCT-III (the inverse of ``_dct_axis``) of a writable 2-D
+    float64 array along one axis, written back into ``x``.
+
+    Makhoul's reordering run backwards: with a(k) the orthonormal scale and
+    X[N] = 0, the FFT of the reordered signal is
+    V[k] = exp(i pi k / 2N) (X[k] / a(k) - i X[N-k] / a(N-k)). One inverse
+    real FFT of V[0..N/2] gives v, and x[2j] = v[j], x[2j+1] = v[N-1-j].
+    Lines go through ``_BLOCK`` at a time, in scratch laid out like ``x``,
+    so a block of columns is read and written along x's rows.
+    """
+    lines = x if axis == 1 else x.T
+    count, n = lines.shape
+    half = n // 2 + 1
+    # 1 / (N a(k)) goes into the twiddle: irfft with norm="forward" leaves
+    # the 1/N of the inverse out.
+    twiddle = np.exp(1j * np.pi / (2 * n) * np.arange(half)) * np.sqrt(0.5 / n)
+    twiddle[0] = np.sqrt(1.0 / n)
+    rows = min(_BLOCK, count)
+    order = "C" if axis == 1 else "F"
+    spectrum = np.empty((rows, half), dtype=np.complex128, order=order)
+    signal = np.empty((rows, n), order=order)
+    for start in range(0, count, rows):
+        block = lines[start : start + rows]
+        spec, sig = spectrum[: block.shape[0]], signal[: block.shape[0]]
+        spec.real[...] = block[:, :half]
+        spec.imag[:, 0] = 0.0
+        np.negative(block[:, : n - half : -1], out=spec.imag[:, 1:])  # X[N-k]
+        spec *= twiddle
+        np.fft.irfft(spec, n=n, axis=1, norm="forward", out=sig)
+        block[:, 0::2] = sig[:, : (n + 1) // 2]
+        block[:, 1::2] = sig[:, ::-1][:, : n // 2]
 
 
 def dct2_reference(x: Matrix) -> Spectrum:

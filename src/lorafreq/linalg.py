@@ -23,8 +23,11 @@ class Matrix:
 
     __slots__ = ("_array",)
 
-    def __init__(self, values):
-        arr = np.array(values, dtype=np.float64, copy=True, order="C")
+    def __init__(self, values, copy: bool = True):
+        """copy=False adopts ``values`` as is when it is already a float64
+        C-contiguous array; the caller hands it over and must not write to
+        it again."""
+        arr = np.array(values, dtype=np.float64, copy=copy or None, order="C")
         if arr.ndim != 2:
             raise ValueError(f"matrix must be 2-D, got ndim={arr.ndim}")
         if arr.shape[0] < 1 or arr.shape[1] < 1:

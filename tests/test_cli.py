@@ -8,6 +8,7 @@ import struct
 import subprocess
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 from pathlib import Path
@@ -19,8 +20,10 @@ import scipy.fft
 
 import lorafreq
 import lorafreq.container
-from lorafreq import report
-from lorafreq.cli import _csv_text, _write_bytes, main
+import lorafreq.dct
+from lorafreq import codec, report
+from lorafreq.analysis import reconstruct, topk_mask
+from lorafreq.cli import _csv_text, _write_chunks, main
 from lorafreq.container import (
     AdapterFile,
     TensorRecord,
@@ -29,6 +32,8 @@ from lorafreq.container import (
     read_container,
     write_container,
 )
+from lorafreq.dct import dct2_factored
+from lorafreq.errors import CorruptSparse
 from lorafreq.fixtures import FixtureSpec, generate
 
 ANALYSIS_SCHEMA = json.loads(
@@ -331,6 +336,113 @@ class TestDecompress:
         assert not out.exists()
 
 
+class TestStreamedDense:
+    """decompress and mask --emit dense stream each inverse into the file."""
+
+    @pytest.fixture
+    def src(self, tmp_path):
+        # "a-b.delta_w" sorts before "a.delta_w" although "a" precedes "a-b".
+        tensors = []
+        for i, prefix in enumerate(("a", "a-b", "layer.3.value")):
+            pair = pair_lora(generate(FixtureSpec("mixed", 40 + i, 33, 3, i, 0.2))).pairs[0]
+            tensors += [
+                TensorRecord(f"{prefix}.lora_A.weight", "F64", pair.a_matrix.shape,
+                             pair.a_matrix.array),
+                TensorRecord(f"{prefix}.lora_B.weight", "F64", pair.b_matrix.shape,
+                             pair.b_matrix.array),
+            ]
+        path = tmp_path / "src.st"
+        path.write_bytes(write_container(AdapterFile(tensors=tuple(tensors))))
+        return path
+
+    def test_decompress_equals_write_container_of_decoded_records(self, src, tmp_path):
+        sparse, out = tmp_path / "s.st", tmp_path / "d.st"
+        assert main(["mask", str(src), "--k", "20", "--out", str(sparse)]) == 0
+        assert main(["decompress", str(sparse), "--out", str(out)]) == 0
+        records = []
+        for s in codec.unpack_sparse_file(read_container(sparse.read_bytes())):
+            dense = codec.decode_sparse(s)
+            records.append(TensorRecord(f"{s.name}.delta_w", "F64", dense.shape, dense.array))
+        want = write_container(AdapterFile(tensors=tuple(records), metadata={}))
+        assert out.read_bytes() == want
+        assert read_container(want).names()[:2] == ["a-b.delta_w", "a.delta_w"]
+
+    def test_mask_dense_equals_reconstructed_records(self, src, tmp_path):
+        out = tmp_path / "d.st"
+        assert main(["mask", str(src), "--k", "20", "--emit", "dense",
+                     "--out", str(out)]) == 0
+        records = []
+        for pair in pair_lora(read_container(src.read_bytes())).pairs:
+            spectrum = dct2_factored(pair.b_matrix, pair.a_matrix, pair.scale)
+            recon = reconstruct(spectrum, topk_mask(spectrum, 20))
+            records.append(
+                TensorRecord(f"{pair.prefix}.delta_w", "F64", recon.shape, recon.array)
+            )
+        assert out.read_bytes() == write_container(AdapterFile(tensors=tuple(records)))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["decompress", "{sparse}"], ["mask", "{src}", "--k", "20", "--emit", "dense"]],
+        ids=["decompress", "mask-dense"],
+    )
+    def test_bytes_identical_across_threads_and_reruns(self, src, tmp_path, argv):
+        sparse = tmp_path / "s.st"
+        assert main(["mask", str(src), "--k", "20", "--out", str(sparse)]) == 0
+        args = [arg.format(src=src, sparse=sparse) for arg in argv]
+        outputs = set()
+        for run, threads in enumerate(("1", "2", "4", "2")):
+            out = tmp_path / f"out{run}.st"
+            assert main([*args, "--out", str(out), "--threads", threads]) == 0
+            outputs.add(out.read_bytes())
+        assert len(outputs) == 1
+
+    def test_one_inverse_alive_at_a_time(self, tmp_path):
+        """With one thread, decompress holds one dense matrix, not all eight.
+
+        The reader's copies of the sparse input grow with k: they alone
+        reach 2.97 x 8mn at k = 10, before any inverse runs. At k = 5 they
+        peak near 1.4 x 8mn, and a second dense buffer would break the
+        bound."""
+        src = synth(tmp_path, kind="gaussian_iid", m=256, n=256, r=4, count=8,
+                    **{"noise-level": 0.0})
+        sparse, out = tmp_path / "s.st", tmp_path / "d.st"
+        assert main(["mask", str(src), "--k", "5", "--out", str(sparse)]) == 0
+        argv = ["decompress", str(sparse), "--out", str(out), "--threads", "1"]
+        assert main(argv) == 0  # numpy.fft's one-time set-up is not counted
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 8 * 256 * 256
+
+    def test_failure_keeps_the_old_output_and_no_temp_file(
+        self, src, tmp_path, monkeypatch, capsys
+    ):
+        sparse = tmp_path / "s.st"
+        assert main(["mask", str(src), "--k", "20", "--out", str(sparse)]) == 0
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        out = out_dir / "d.st"
+        out.write_bytes(b"earlier output")
+        kernel = lorafreq.dct._idct_axis
+        calls = []
+
+        def fail_on_the_second_matrix(x, axis):
+            calls.append(axis)
+            if len(calls) > 2:  # two axes per matrix
+                raise CorruptSparse("injected failure")
+            kernel(x, axis)
+
+        monkeypatch.setattr(lorafreq.dct, "_idct_axis", fail_on_the_second_matrix)
+        argv = ["decompress", str(sparse), "--out", str(out), "--threads", "1"]
+        assert main(argv) == 5
+        assert "injected failure" in capsys.readouterr().err
+        assert out.read_bytes() == b"earlier output"
+        assert [p.name for p in out_dir.iterdir()] == ["d.st"]
+
+
 class TestSweep:
     def test_rows_sorted_and_monotone(self, tmp_path):
         src = synth(tmp_path, count=3)
@@ -588,8 +700,8 @@ def test_package_import_loads_no_scipy():
 
 
 def test_only_full_size_inverses_and_the_p_value_load_scipy(tmp_path):
-    """synth, analyze, sparse mask and sweep run without scipy; decompress
-    and correlate load it on first use."""
+    """synth, analyze, sparse mask and sweep run without scipy; correlate
+    loads it on first use, for the p-value."""
     code = f"""
 import sys
 from lorafreq.cli import main
@@ -618,6 +730,36 @@ assert main(["correlate", src, "--out", d + "/c.json"]) == 0
     assert done.stdout.splitlines()[-1] == "[]"  # after mask's accounting lines
     assert json.loads((tmp_path / "c.json").read_text())["n"] == 4
     assert read_container((tmp_path / "d.st").read_bytes()).tensors
+
+
+def test_dense_outputs_load_no_scipy(tmp_path):
+    """decompress and mask --emit dense invert on numpy.fft alone."""
+    code = f"""
+import sys
+from lorafreq.cli import main
+d = sys.argv[1]
+src = d + "/a.st"
+for argv in (
+    ["synth", "--kind", "mixed", "--m", "24", "--n", "20", "--count", "3",
+     "--out", src],
+    ["mask", src, "--k", "10", "--out", d + "/s.st"],
+    ["decompress", d + "/s.st", "--out", d + "/d.st"],
+    ["mask", src, "--k", "10", "--emit", "dense", "--out", d + "/m.st"],
+):
+    assert main(argv) == 0, argv[0]
+print({_LOADED_SCIPY})
+"""
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)],
+        env=subprocess_env(),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+    for name in ("d.st", "m.st"):
+        assert len(read_container((tmp_path / name).read_bytes()).tensors) == 3
 
 
 def test_commands_take_the_spectrum_from_the_factors(tmp_path, monkeypatch):
@@ -651,7 +793,7 @@ class TestWriteBytes:
         def writer(data):
             try:
                 for _ in range(50):
-                    _write_bytes(path, data)
+                    _write_chunks(path, [data])
             except Exception as exc:  # collected, asserted empty below
                 errors.append(exc)
 
@@ -676,12 +818,12 @@ class TestWriteBytes:
 
         monkeypatch.setattr(os, "replace", fail)
         with pytest.raises(OSError):
-            _write_bytes(tmp_path / "out.st", b"x")
+            _write_chunks(tmp_path / "out.st", [b"x"])
         assert list(tmp_path.iterdir()) == []
 
     def test_mode_follows_umask(self, tmp_path):
         path = tmp_path / "out.st"
-        _write_bytes(path, b"x")
+        _write_chunks(path, [b"x"])
         umask = os.umask(0o022)
         os.umask(umask)
         assert path.stat().st_mode & 0o777 == 0o666 & ~umask
@@ -778,8 +920,8 @@ class TestDeterminism:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         monkeypatch.setattr(report, "ThreadPoolExecutor", RecordingPool)
-        assert report.map_matrices(lambda x: 2 * x, [1, 2, 3], None) == [2, 4, 6]
-        assert report.map_matrices(lambda x: 2 * x, [1, 2, 3], 3) == [2, 4, 6]
+        assert list(report.map_matrices(lambda x: 2 * x, [1, 2, 3], None)) == [2, 4, 6]
+        assert list(report.map_matrices(lambda x: 2 * x, [1, 2, 3], 3)) == [2, 4, 6]
         assert sizes == [1, 3]
 
     def test_blas_threads_do_not_change_output(self, tmp_path):

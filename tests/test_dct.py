@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,8 +13,10 @@ from scipy import fft
 from lorafreq.analysis import energy_curve, k_for_energy
 from lorafreq.container import merge_delta, pair_lora
 from lorafreq.dct import (
+    _BLOCK,
     Spectrum,
     _dct_axis,
+    _idct_axis,
     dct2,
     dct2_factored,
     dct2_reference,
@@ -207,6 +210,43 @@ class TestDctAxis:
         assert got.dtype == np.float64
         assert got.flags.c_contiguous and got.flags.owndata and got.flags.writeable
         assert _dct_axis(x, axis).tobytes() == got.tobytes()
+
+
+class TestIdctAxis:
+    """The in-place inverse against scipy's orthonormal DCT-III."""
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("lines", [_BLOCK - 1, _BLOCK, _BLOCK + 1])
+    @pytest.mark.parametrize("length", [1, 2, 3, 7, 51, 128, 768])
+    def test_matches_scipy(self, length, lines, axis):
+        rng = np.random.default_rng(length * 100 + lines * 10 + axis)
+        f = rng.standard_normal((length, lines) if axis == 0 else (lines, length))
+        x = f.copy()
+        assert _idct_axis(x, axis) is None  # the result is written into x
+        want = fft.idct(f, type=2, norm="ortho", axis=axis)
+        eps = np.finfo(float).eps
+        assert np.max(np.abs(x - want)) <= 4 * eps * np.linalg.norm(f)
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_scratch_is_a_tenth_of_the_buffer(self, axis):
+        x = np.random.default_rng(97).standard_normal((512, 512))
+        _idct_axis(x[:2].copy(), 1)  # numpy.fft's one-time set-up
+        tracemalloc.start()
+        try:
+            _idct_axis(x, axis)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.1 * x.nbytes
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(1, _BLOCK + 1), (_BLOCK - 1, _BLOCK), (_BLOCK + 1, 51), (768, _BLOCK + 1)],
+    )
+    def test_idct2_inverts_dct2(self, shape):
+        x = np.random.default_rng(98).standard_normal(shape)
+        back = idct2(dct2(Matrix(x))).array
+        assert np.linalg.norm(back - x) / np.linalg.norm(x) < 1e-10
 
 
 def fixture_pair(kind, m, n, r=1, seed=0, noise_level=0.0):
