@@ -127,8 +127,8 @@ def _idct_axis(x: np.ndarray, axis: int) -> None:
     X[N] = 0, the FFT of the reordered signal is
     V[k] = exp(i pi k / 2N) (X[k] / a(k) - i X[N-k] / a(N-k)). One inverse
     real FFT of V[0..N/2] gives v, and x[2j] = v[j], x[2j+1] = v[N-1-j].
-    Lines go through ``_BLOCK`` at a time, in scratch laid out like ``x``,
-    so a block of columns is read and written along x's rows.
+    Lines go through ``_BLOCK`` at a time, in a spectrum scratch laid out
+    like ``x``, so a block of columns is read along x's rows.
     """
     lines = x if axis == 1 else x.T
     count, n = lines.shape
@@ -140,15 +140,15 @@ def _idct_axis(x: np.ndarray, axis: int) -> None:
     rows = min(_BLOCK, count)
     order = "C" if axis == 1 else "F"
     spectrum = np.empty((rows, half), dtype=np.complex128, order=order)
-    signal = np.empty((rows, n), order=order)
     for start in range(0, count, rows):
         block = lines[start : start + rows]
-        spec, sig = spectrum[: block.shape[0]], signal[: block.shape[0]]
+        spec = spectrum[: block.shape[0]]
         spec.real[...] = block[:, :half]
         spec.imag[:, 0] = 0.0
         np.negative(block[:, : n - half : -1], out=spec.imag[:, 1:])  # X[N-k]
         spec *= twiddle
-        np.fft.irfft(spec, n=n, axis=1, norm="forward", out=sig)
+        # A new block per step: numpy.fft takes out= only from numpy 2.0.
+        sig = np.fft.irfft(spec, n=n, axis=1, norm="forward")
         block[:, 0::2] = sig[:, : (n + 1) // 2]
         block[:, 1::2] = sig[:, ::-1][:, : n // 2]
 

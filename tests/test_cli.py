@@ -772,6 +772,7 @@ def test_commands_take_the_spectrum_from_the_factors(tmp_path, monkeypatch):
     monkeypatch.setattr(lorafreq.container, "matmul", forbidden)
     monkeypatch.setattr(scipy.fft, "dctn", forbidden)
     monkeypatch.setattr(scipy.fft, "idctn", forbidden)
+    monkeypatch.setattr(lorafreq.dct, "_idct_axis", forbidden)
     pair = pair_lora(read_container(src.read_bytes())).pairs[0]
     with pytest.raises(AssertionError):
         merge_delta(pair)
