@@ -5,7 +5,15 @@ coefficients are energies and Parseval ties masking error to dropped
 energy exactly: ||dW - dW_k||_F^2 is the sum of the squared coefficients
 the mask leaves out. The curve and the sweep both read one descending
 buffer of squared coefficients, sorted once per matrix; a sweep takes every
-k from that buffer.
+k from that buffer, and the curve is that buffer's running sum, taken in
+place.
+
+analyze, sweep and correlate hold one m x n buffer per matrix: the factored
+product of ``dct._factored_product``, squared, sorted and accumulated where
+it lies (``_factored_energies``, ``_accumulate``). The public functions copy
+the spectrum once and run the same steps on the copy. The product is not
+checked entry by entry as a Matrix would be; a finite total of F**2 stands
+in for that check, since it means every entry is finite.
 """
 
 from __future__ import annotations
@@ -15,8 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import dct
 from .dct import Spectrum, dct2, scatter_idct2
-from .errors import ShapeMismatch, ZeroSpectrum
+from .errors import ContainerError, ShapeMismatch, ZeroSpectrum
 from .linalg import Matrix
 
 # Guard against float drift when k*m*n/100 is mathematically an integer.
@@ -99,30 +108,11 @@ class HeatmapTable:
 
 def energy_curve(f: Spectrum) -> EnergyCurve:
     """Square, sort descending, accumulate."""
-    return _curve_from_descending(_descending_energies(f))
-
-
-def _descending_energies(f: Spectrum) -> np.ndarray:
-    """F**2 sorted descending, in one owned buffer.
-
-    The squares are negated, sorted ascending in place and negated back;
-    negation is exact, so no second m*n array is made.
-    """
-    energies = np.square(f.coefficients.data)
-    np.negative(energies, out=energies)
-    energies.sort()
-    np.negative(energies, out=energies)
-    return energies
-
-
-def _curve_from_descending(energies: np.ndarray) -> EnergyCurve:
-    """The curve of energies already sorted descending; freezes the array."""
-    fraction = np.cumsum(energies)
-    total = float(fraction[-1])
+    energies = _descending_energies(np.array(f.coefficients.data))
+    fraction = energies.copy()
+    total = _accumulate(fraction)
     if total == 0.0:
         fraction = np.empty(0)
-    else:
-        fraction /= total
     energies.setflags(write=False)
     fraction.setflags(write=False)
     return EnergyCurve(
@@ -130,17 +120,64 @@ def _curve_from_descending(energies: np.ndarray) -> EnergyCurve:
     )
 
 
+def _factored_energies(b: Matrix, a: Matrix, scale: float) -> np.ndarray:
+    """F**2 of the spectrum of scale * (b @ a), sorted descending in the
+    product's own flat buffer, with no copy of it."""
+    return _descending_energies(dct._factored_product(b, a, scale).reshape(-1))
+
+
+def _descending_energies(buffer: np.ndarray) -> np.ndarray:
+    """Square a writable flat array and sort it descending, in place.
+
+    The squares are negated, sorted ascending and negated back; negation is
+    exact, so no second m*n array is made.
+    """
+    np.square(buffer, out=buffer)
+    np.negative(buffer, out=buffer)
+    buffer.sort()
+    np.negative(buffer, out=buffer)
+    return buffer
+
+
+def _accumulate(energies: np.ndarray) -> float:
+    """Turn descending energies into their cumulative fraction in place and
+    return the total; an all-zero buffer is left as running sums of 0.
+
+    np.cumsum with out= is sequential, so it equals np.cumsum bit for bit.
+    """
+    np.cumsum(energies, out=energies)
+    total = _finite(float(energies[-1]))
+    if total != 0.0:
+        energies /= total
+    return total
+
+
+def _finite(total: float) -> float:
+    """The total energy, if finite; a finite sum of F**2 means every entry of
+    F is finite, and LoraPair's norm cap keeps a valid update's sum finite."""
+    if not math.isfinite(total):
+        raise ContainerError("spectral energy is not finite: the update overflows")
+    return total
+
+
 def k_for_energy(curve: EnergyCurve, target_fraction: float = 0.9) -> SpectralSummary:
     """Smallest coefficient count whose energy reaches the target fraction."""
+    return _summary(curve.cumulative_fraction, curve.total_energy, target_fraction)
+
+
+def _summary(
+    fraction: np.ndarray, total: float, target_fraction: float = 0.9
+) -> SpectralSummary:
+    """k_for_energy of a cumulative fraction over all coefficients."""
     if not 0.0 < target_fraction <= 1.0:
         raise ValueError(f"target_fraction must be in (0, 1], got {target_fraction}")
-    if curve.is_zero:
+    if total == 0.0:
         raise ZeroSpectrum("all-zero spectrum has no energy threshold")
-    count = int(np.searchsorted(curve.cumulative_fraction, target_fraction)) + 1
+    count = int(np.searchsorted(fraction, target_fraction)) + 1
     return SpectralSummary(
-        k90_percent=100.0 * count / curve.coefficient_count,
+        k90_percent=100.0 * count / fraction.size,
         coeff_count_90=count,
-        total_energy=curve.total_energy,
+        total_energy=total,
     )
 
 
@@ -216,11 +253,16 @@ def sweep(x: Matrix | Spectrum, k_values: list[float]) -> list[SweepPoint]:
     sqrt(dropped / total), where dropped sums the sorted suffix; no mask is
     built and no inverse transform is run. Every sum is numpy's pairwise sum.
     """
+    f = x if isinstance(x, Spectrum) else dct2(x)
+    return _sweep_points(_descending_energies(np.array(f.coefficients.data)), k_values)
+
+
+def _sweep_points(energies: np.ndarray, k_values: list[float]) -> list[SweepPoint]:
+    """sweep's points from F**2 sorted descending; the buffer is only read."""
     for k in k_values:
         if not 0.0 < k <= 100.0:
             raise ValueError(f"k values must be in (0, 100], got {k}")
-    energies = _descending_energies(x if isinstance(x, Spectrum) else dct2(x))
-    total = float(np.sum(energies))
+    total = _finite(float(np.sum(energies)))
     if k_values and total == 0.0:
         raise ZeroSpectrum("zero-energy spectrum has no top-k selection")
     size = energies.size

@@ -27,7 +27,7 @@ from pathlib import Path
 import click
 
 from . import codec, report
-from .analysis import sweep, topk_mask
+from .analysis import _factored_energies, _sweep_points, topk_mask
 from .container import container_header, read_container, write_container
 from .dct import dct2_factored, scatter_idct2
 from .errors import (
@@ -226,8 +226,8 @@ def cmd_sweep(input, k_list, out, scale, threads):
     pairs = _load_pairs(input, scale)
 
     def one(pair):
-        spectrum = dct2_factored(pair.b_matrix, pair.a_matrix, pair.scale)
-        return pair.prefix, sweep(spectrum, k_list)
+        energies = _factored_energies(pair.b_matrix, pair.a_matrix, pair.scale)
+        return pair.prefix, _sweep_points(energies, k_list)
 
     live = list(report.map_matrices(one, pairs, threads))
     rows = [

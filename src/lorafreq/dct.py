@@ -15,8 +15,9 @@ The transform is separable, F = C_m x C_n^T, so the spectrum of a low-rank
 update scale * B @ A is scale * (C_m B)(A C_n^T). ``dct2_factored`` takes
 the column DCT of the m x r factor and the row DCT of the r x n factor, then
 forms one product; the m x n update itself is never built. Every command
-gets its spectrum this way. ``dct2`` of a merged update is the library and
-test reference for it.
+gets its spectrum this way: mask through ``dct2_factored``, and analyze,
+sweep and correlate by squaring and sorting that product in its own buffer.
+``dct2`` of a merged update is the library and test reference for it.
 
 The factor transforms and every inverse (``idct2``, ``scatter_idct2``) run
 on ``numpy.fft``; an inverse is computed in place in one m x n buffer. Only
@@ -58,11 +59,21 @@ def dct2_factored(b: Matrix, a: Matrix, scale: float) -> Spectrum:
     applied to the product, as the merge applies it, so a scale that would
     overflow or underflow a factor alone stays harmless.
     """
+    # The copy stays: without it mask's peak RSS rises (see CHANGES.md).
+    return Spectrum(Matrix(_factored_product(b, a, scale)))
+
+
+def _factored_product(b: Matrix, a: Matrix, scale: float) -> np.ndarray:
+    """scale * (C_m b)(a C_n^T) as a new writable C-contiguous array.
+
+    Its entries are not checked: a caller that keeps this buffer instead of
+    a Matrix checks that the total energy it sums is finite.
+    """
     left = _dct_axis(b.array, axis=0)
     right = _dct_axis(a.array, axis=1)
     coeffs = left @ right
     coeffs *= float(scale)
-    return Spectrum(Matrix(coeffs))
+    return coeffs
 
 
 def idct2(f: Spectrum) -> Matrix:

@@ -4,7 +4,10 @@ Builders return plain dicts shaped exactly like the shipped JSON schemas
 (schemas/analysis_report.schema.json, schemas/correlate_report.schema.json).
 Every command's per-matrix work runs through map_matrices, one thread pool
 whose results are yielded in input order, so outputs are deterministic
-regardless of scheduling.
+regardless of scheduling. analyze's and correlate's workers each hold one
+m x n buffer per matrix: the factored spectrum, squared, sorted and turned
+into its cumulative energy fraction in place, from which only a count and
+at most 2048 curve points are kept.
 """
 
 from __future__ import annotations
@@ -22,12 +25,12 @@ import numpy as np
 from .analysis import (
     EnergyCurve,
     SpectralSummary,
-    energy_curve,
-    k_for_energy,
+    _accumulate,
+    _factored_energies,
+    _summary,
     layer_heatmap,
 )
 from .container import AdapterFile, LoraPair, pair_lora
-from .dct import dct2_factored
 from .errors import DegenerateInput, ZeroSpectrum
 from .stats import _factored_svd_k90, svd_dct_correlate
 
@@ -100,7 +103,8 @@ def analysis_rows(
     """(report row, thinned curve points) per pair, in order; zero rows flagged."""
 
     def one(pair: LoraPair) -> tuple[dict, list[tuple[float, float]]]:
-        curve = energy_curve(dct2_factored(pair.b_matrix, pair.a_matrix, pair.scale))
+        fraction = _factored_energies(pair.b_matrix, pair.a_matrix, pair.scale)
+        total = _accumulate(fraction)
         row = {
             "prefix": pair.prefix,
             "layer_index": pair.layer_index,
@@ -108,14 +112,15 @@ def analysis_rows(
             "shape": list(pair.out_shape),
             "k90_percent": None,
             "coeff_count_90": None,
-            "total_energy": curve.total_energy,
-            "zero_flag": curve.is_zero,
+            "total_energy": total,
+            "zero_flag": total == 0.0,
         }
-        if not curve.is_zero:
-            summary = k_for_energy(curve, energy_target)
-            row["k90_percent"] = summary.k90_percent
-            row["coeff_count_90"] = summary.coeff_count_90
-        return row, curve_points(curve)
+        if total == 0.0:
+            return row, []
+        summary = _summary(fraction, total, energy_target)
+        row["k90_percent"] = summary.k90_percent
+        row["coeff_count_90"] = summary.coeff_count_90
+        return row, _fraction_points(fraction)
 
     return list(map_matrices(one, pairs, threads))
 
@@ -176,9 +181,12 @@ def curve_points(curve: EnergyCurve) -> list[tuple[float, float]]:
     Dense spectra are thinned to evenly spaced ranks so curve files stay
     bounded; the first and last rank always survive thinning.
     """
-    if curve.is_zero:
-        return []
-    count = curve.coefficient_count
+    return [] if curve.is_zero else _fraction_points(curve.cumulative_fraction)
+
+
+def _fraction_points(fraction: np.ndarray) -> list[tuple[float, float]]:
+    """curve_points of a cumulative fraction over all coefficients."""
+    count = fraction.size
     if count > _CURVE_FULL_LIMIT:
         ranks = np.unique(
             np.round(np.linspace(1, count, num=_CURVE_POINTS)).astype(np.int64)
@@ -186,7 +194,7 @@ def curve_points(curve: EnergyCurve) -> list[tuple[float, float]]:
     else:
         ranks = np.arange(1, count + 1, dtype=np.int64)
     return [
-        (100.0 * int(rank) / count, float(curve.cumulative_fraction[rank - 1]))
+        (100.0 * int(rank) / count, float(fraction[rank - 1]))
         for rank in ranks
     ]
 
@@ -200,14 +208,14 @@ def correlate_report(
     """SVD-vs-DCT k90 correlation across a container's non-zero matrices.
 
     Both sides work on each pair's factors, never on the m x n update: the
-    DCT side takes its spectrum from dct.dct2_factored, and the SVD side
-    (stats._factored_svd_k90) decomposes an r x r core.
+    DCT side sorts and accumulates the factored spectrum in its own buffer,
+    and the SVD side (stats._factored_svd_k90) decomposes an r x r core.
     """
 
     def one(pair: LoraPair) -> tuple[str, float, float]:
         # The DCT side first, so its energy alone decides a zero update.
-        spectrum = dct2_factored(pair.b_matrix, pair.a_matrix, pair.scale)
-        dct_value = k_for_energy(energy_curve(spectrum)).k90_percent
+        fraction = _factored_energies(pair.b_matrix, pair.a_matrix, pair.scale)
+        dct_value = _summary(fraction, _accumulate(fraction)).k90_percent
         svd_value = _factored_svd_k90(pair.b_matrix, pair.a_matrix)
         return pair.prefix, svd_value, dct_value
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import _curve_from_descending, k_for_energy
+from .analysis import _accumulate, _summary
 from .errors import DegenerateInput
 from .linalg import Matrix, svd
 
@@ -120,8 +120,9 @@ def _k90_percent(
 ) -> float:
     """100 * (smallest count of leading values whose squared sum reaches the
     target fraction of the total) / min_dim, by analysis.k_for_energy's rule."""
-    curve = _curve_from_descending(singular_values * singular_values)
-    return 100.0 * k_for_energy(curve, target_fraction).coeff_count_90 / min_dim
+    energies = singular_values * singular_values
+    count = _summary(energies, _accumulate(energies), target_fraction).coeff_count_90
+    return 100.0 * count / min_dim
 
 
 def _ranks(values: list[float]) -> np.ndarray:

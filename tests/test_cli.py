@@ -645,6 +645,28 @@ class TestHostileScale:
         assert self.run(capsys, argv)[0] == 2
         assert not out.exists()
 
+    # analyze, sweep and correlate keep the product unchecked; its energy's
+    # total stands in for the entry-by-entry finiteness check.
+    @pytest.mark.parametrize(
+        "argv", [["analyze"], ["sweep", "--k-list", "10"], ["correlate"]],
+        ids=["analyze", "sweep", "correlate"],
+    )
+    def test_non_finite_product_exits_2(self, tmp_path, capsys, monkeypatch, argv):
+        src = synth(tmp_path)
+        product = lorafreq.dct._factored_product
+
+        def with_inf(b, a, scale):
+            coeffs = product(b, a, scale)
+            coeffs[-1, 0] = np.inf
+            return coeffs
+
+        monkeypatch.setattr(lorafreq.dct, "_factored_product", with_inf)
+        out = tmp_path / "out"
+        code, err = self.run(capsys, [argv[0], str(src), *argv[1:], "--out", str(out)])
+        assert code == 2
+        assert "not finite" in err
+        assert not out.exists()
+
     def test_sparse_mask_beyond_binary32_exits_2(self, tmp_path, capsys):
         src = synth(tmp_path)
         out = tmp_path / "sparse.st"
