@@ -14,6 +14,14 @@ it lies (``_factored_energies``, ``_accumulate``). The public functions copy
 the spectrum once and run the same steps on the copy. The product is not
 checked entry by entry as a Matrix would be; a finite total of F**2 stands
 in for that check, since it means every entry is finite.
+
+mask holds no m x n array: ``_select`` picks the top k% in three passes
+over row blocks of the spectrum, ``dct._factored_rows`` for the command and
+copied rows for ``topk_mask``. The first pass counts |F| into buckets keyed
+by the top bits of its binary64 pattern, which order non-negative floats
+and flag every non-finite entry; the second finds the cut among the
+entries of the bucket that holds the k-th largest |F|; the third gathers
+the entries the cut keeps.
 """
 
 from __future__ import annotations
@@ -184,35 +192,28 @@ def _summary(
 def topk_mask(f: Spectrum, k_percent: float) -> MaskResult:
     """Retain the k_count = max(1, ceil(k% of m*n)) largest-|F| coefficients.
 
-    A partition finds the k_count-th largest |F|; every larger coefficient is
-    kept, and equal ones fill the remaining slots in ascending flat-index
-    order, so masks are nested across k and deterministic across platforms.
-    A zero-energy spectrum has nothing to select and raises ZeroSpectrum.
+    Every coefficient above the k_count-th largest |F| is kept, and equal
+    ones fill the remaining slots in ascending flat-index order, so masks
+    are nested across k and deterministic across platforms. The selection
+    reads copied row blocks of the spectrum (``_select``); only the energy
+    total reads it whole. A zero-energy spectrum has nothing to select and
+    raises ZeroSpectrum.
     """
     if not 0.0 < k_percent <= 100.0:
         raise ValueError(f"k_percent must be in (0, 100], got {k_percent}")
-    flat = f.coefficients.data
-    total = float(np.sum(flat**2))
-    if total == 0.0:
-        raise ZeroSpectrum("zero-energy spectrum has no top-k selection")
-    total_count = flat.size
+    coeffs = f.coefficients.array
+    total_count = coeffs.size
     k_count = mask_count(k_percent, total_count)
 
-    magnitude = np.abs(flat)
-    cut = np.partition(magnitude, total_count - k_count)[total_count - k_count]
-    keep = magnitude > cut
-    tied = np.flatnonzero(magnitude == cut)
-    # Free the m*n buffer before the kept indices and values are allocated,
-    # so a worker thread's heap can shrink once its spectrum is released.
-    del magnitude
-    keep[tied[: k_count - int(np.count_nonzero(keep))]] = True
-    chosen = np.flatnonzero(keep).astype(np.int64, copy=False)
-    values = flat[chosen]
+    def blocks():
+        for start, stop in dct._row_spans(*coeffs.shape):
+            yield coeffs[start:stop].flatten()
 
+    chosen, values = _select(blocks, k_count)
     if k_count == total_count:
         fraction = 1.0
     else:
-        fraction = float(np.sum(values**2)) / total
+        fraction = float(np.sum(values**2)) / float(np.sum(f.coefficients.data**2))
         fraction = min(1.0, max(0.0, fraction))
     chosen.setflags(write=False)
     values.setflags(write=False)
@@ -223,6 +224,87 @@ def topk_mask(f: Spectrum, k_percent: float) -> MaskResult:
         k_percent_requested=float(k_percent),
         k_count=k_count,
     )
+
+
+def _factored_selection(
+    b: Matrix, a: Matrix, scale: float, k_percent: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """topk_mask's indices and values for the spectrum of scale * (b @ a),
+    from its row blocks; no m x n array is made."""
+    size = b.shape[0] * a.shape[1]
+    return _select(dct._factored_rows(b, a, scale), mask_count(k_percent, size))
+
+
+# |F|'s binary64 pattern shifted right by _KEY_SHIFT keeps its exponent and
+# three mantissa bits: 2**14 buckets in the order of the values, of which
+# those from _KEY_NON_FINITE on hold inf and nan.
+_KEY_SHIFT = 49
+_KEY_COUNT = 1 << 14
+_KEY_NON_FINITE = 0x7FF << 3
+
+
+def _select(blocks, k_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices, ascending, and values of the k_count largest |F|, ties
+    taken in flat-index order.
+
+    ``blocks()`` yields the spectrum's flat row blocks in flat-index order,
+    each writable and not used again; it is called once per pass. Pass 1
+    counts |F| per bucket, pass 2 finds the cut (the k_count-th largest |F|)
+    among the entries of its bucket alone, and pass 3 keeps every |F| above
+    the cut and the first ties at it. Raises ContainerError for a
+    non-finite entry and ZeroSpectrum when every F**2 is 0.
+    """
+    counts = np.zeros(_KEY_COUNT, dtype=np.int64)
+    largest = 0.0
+    for block in blocks():
+        np.abs(block, out=block)
+        largest = max(largest, float(block.max()))
+        keys = block.view(np.uint64)
+        keys >>= _KEY_SHIFT
+        counts += np.bincount(keys.view(np.int64), minlength=_KEY_COUNT)
+    if counts[_KEY_NON_FINITE:].any():
+        raise ContainerError(
+            "spectral coefficients are not finite: the update overflows"
+        )
+    if largest * largest == 0.0:
+        raise ZeroSpectrum("zero-energy spectrum has no top-k selection")
+    at_or_above = np.cumsum(counts[::-1])[::-1]
+    bucket = int(np.searchsorted(-at_or_above, -k_count, side="right")) - 1
+    edges = np.array([bucket, bucket + 1], dtype=np.uint64) << _KEY_SHIFT
+    low, high = edges.view(np.float64)
+
+    inside = np.empty(int(counts[bucket]))
+    start = 0
+    for block in blocks():
+        np.abs(block, out=block)
+        hits = block[(block >= low) & (block < high)]
+        inside[start : start + hits.size] = hits
+        start += hits.size
+    kth = int(at_or_above[bucket]) - k_count
+    inside.partition(kth)
+    cut = inside[kth]
+    ties = k_count - int(at_or_above[bucket + 1])
+    ties -= int(np.count_nonzero(inside[kth + 1 :] > cut))
+    del inside
+
+    indices = np.empty(k_count, dtype=np.int64)
+    values = np.empty(k_count)
+    start = offset = 0
+    for block in blocks():
+        keep = block > cut
+        keep |= block < -cut
+        if ties:
+            tied = np.flatnonzero((block == cut) | (block == -cut))[:ties]
+            keep[tied] = True
+            ties -= tied.size
+        hits = np.flatnonzero(keep)
+        stop = start + hits.size
+        np.add(hits, offset, out=indices[start:stop])
+        np.take(block, hits, out=values[start:stop])
+        start, offset = stop, offset + block.size
+    if start != k_count:
+        raise RuntimeError("the spectrum's row blocks changed between passes")
+    return indices, values
 
 
 def mask_count(k_percent: float, total_count: int) -> int:

@@ -27,9 +27,9 @@ from pathlib import Path
 import click
 
 from . import codec, report
-from .analysis import _factored_energies, _sweep_points, topk_mask
+from .analysis import _factored_energies, _factored_selection, _sweep_points
 from .container import container_header, read_container, write_container
-from .dct import dct2_factored, scatter_idct2
+from .dct import scatter_idct2
 from .errors import (
     ContainerError,
     CorruptSparse,
@@ -158,16 +158,15 @@ def cmd_mask(input, k, out, emit, base_params, scale, threads):
     pairs = _load_pairs(input, scale)
 
     def one(pair):
-        spectrum = dct2_factored(pair.b_matrix, pair.a_matrix, pair.scale)
-        mask = topk_mask(spectrum, k)
-        if emit == "sparse":
-            return mask.k_count, codec.encode_sparse(pair.prefix, spectrum, mask)
-        # Only the kept coefficients wait for the file; the spectrum is freed.
-        shape = spectrum.coefficients.shape
-        inverse = partial(
-            scatter_idct2, shape, mask.retained_flat_indices, mask.retained_values
+        indices, values = _factored_selection(
+            pair.b_matrix, pair.a_matrix, pair.scale, k
         )
-        return mask.k_count, (f"{pair.prefix}.delta_w", shape, inverse)
+        shape = pair.out_shape
+        if emit == "sparse":
+            return indices.size, codec._sparse(pair.prefix, shape, indices, values, k)
+        # Only the kept coefficients wait for the file.
+        inverse = partial(scatter_idct2, shape, indices, values)
+        return indices.size, (f"{pair.prefix}.delta_w", shape, inverse)
 
     counts, items = zip(*report.map_matrices(one, pairs, threads))
     base = base_params or sum(p.out_shape[0] * p.out_shape[1] for p in pairs)

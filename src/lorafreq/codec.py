@@ -87,21 +87,39 @@ def encode_sparse(name: str, f: Spectrum, mask: MaskResult) -> SparseSpectrum:
     A value outside binary32 range would be cast to inf, which
     unpack_sparse_file rejects, so it raises ContainerError instead.
     """
-    if not _fits_binary32(mask.retained_values):
+    indices = np.array(mask.retained_flat_indices, dtype=np.int64)
+    return _sparse(
+        name,
+        f.coefficients.shape,
+        indices,
+        mask.retained_values,
+        mask.k_percent_requested,
+    )
+
+
+def _sparse(
+    name: str,
+    shape: tuple[int, int],
+    indices: np.ndarray,
+    values: np.ndarray,
+    k_percent: float,
+) -> SparseSpectrum:
+    """encode_sparse of a selection; the int64 ``indices`` are taken over,
+    not copied, and ``values`` are only read."""
+    if not _fits_binary32(values):
         raise ContainerError(
             f"{name}: retained DCT coefficients exceed binary32 range, "
             "so the sparse file cannot store them"
         )
-    indices = np.array(mask.retained_flat_indices, dtype=np.int64)
-    values = np.array(mask.retained_values, dtype=np.float32)
+    values = np.array(values, dtype=np.float32)
     indices.setflags(write=False)
     values.setflags(write=False)
     return SparseSpectrum(
         name=name,
-        shape=f.coefficients.shape,
+        shape=shape,
         flat_indices=indices,
         values=values,
-        k_percent=mask.k_percent_requested,
+        k_percent=float(k_percent),
     )
 
 

@@ -14,10 +14,12 @@ so tests can cross-check the fast path.
 The transform is separable, F = C_m x C_n^T, so the spectrum of a low-rank
 update scale * B @ A is scale * (C_m B)(A C_n^T). ``dct2_factored`` takes
 the column DCT of the m x r factor and the row DCT of the r x n factor, then
-forms one product; the m x n update itself is never built. Every command
-gets its spectrum this way: mask through ``dct2_factored``, and analyze,
-sweep and correlate by squaring and sorting that product in its own buffer.
-``dct2`` of a merged update is the library and test reference for it.
+forms their product block by block of rows; the m x n update itself is
+never built. Every command
+gets its spectrum from the transformed factors: analyze, sweep and correlate
+square and sort that product in its own buffer, and mask reads it in row
+blocks (``_factored_rows``) and never holds all of it. ``dct2`` of a merged
+update is the library and test reference for both.
 
 The factor transforms and every inverse (``idct2``, ``scatter_idct2``) run
 on ``numpy.fft``; an inverse is computed in place in one m x n buffer. Only
@@ -59,21 +61,59 @@ def dct2_factored(b: Matrix, a: Matrix, scale: float) -> Spectrum:
     applied to the product, as the merge applies it, so a scale that would
     overflow or underflow a factor alone stays harmless.
     """
-    # The copy stays: without it mask's peak RSS rises (see CHANGES.md).
-    return Spectrum(Matrix(_factored_product(b, a, scale)))
+    return Spectrum(Matrix(_factored_product(b, a, scale), copy=False))
 
 
 def _factored_product(b: Matrix, a: Matrix, scale: float) -> np.ndarray:
     """scale * (C_m b)(a C_n^T) as a new writable C-contiguous array.
 
-    Its entries are not checked: a caller that keeps this buffer instead of
-    a Matrix checks that the total energy it sums is finite.
+    The product is taken in the row blocks ``_factored_rows`` yields, so the
+    two give the same bits: a BLAS may round a product differently with its
+    shape (OpenBLAS 0.3.31 rounds a 700 x 333 rank-8 product unlike any
+    split of it into row blocks). Its entries are not checked: a caller that
+    keeps this buffer instead of a Matrix checks that the total energy it
+    sums is finite.
     """
     left = _dct_axis(b.array, axis=0)
     right = _dct_axis(a.array, axis=1)
-    coeffs = left @ right
+    coeffs = np.empty((left.shape[0], right.shape[1]))
+    for start, stop in _row_spans(*coeffs.shape, right.shape[0]):
+        np.matmul(left[start:stop], right, out=coeffs[start:stop])
     coeffs *= float(scale)
     return coeffs
+
+
+# Multiply-adds in one row block of a factored product, so a block holds at
+# most this many entries (2 MB of float64). OpenBLAS runs a gemm this small
+# on the calling thread; larger blocks wake its helper threads once per
+# block, and on 2 cores they contend with the pool's workers: blocks of
+# 2^20 multiply-adds made analyze of two 4096^2 rank-16 updates up to a
+# tenth slower.
+_BLOCK_WORK = 2**18
+
+
+def _row_spans(m: int, n: int, r: int = 1) -> list[tuple[int, int]]:
+    """(start, stop) ranges of max(1, _BLOCK_WORK // (n * r)) rows, the last
+    one ragged, that tile the rows of an m x n product of rank r."""
+    rows = max(1, _BLOCK_WORK // (n * r))
+    return [(start, min(start + rows, m)) for start in range(0, m, rows)]
+
+
+def _factored_rows(b: Matrix, a: Matrix, scale: float):
+    """A function whose every call yields ``_factored_product(b, a, scale)``
+    as flat row blocks, in order, each a new writable array, with the same
+    bits; the whole product is never held, and the factor DCTs are taken
+    once."""
+    left = _dct_axis(b.array, axis=0)
+    right = _dct_axis(a.array, axis=1)
+
+    def blocks():
+        for start, stop in _row_spans(left.shape[0], right.shape[1], right.shape[0]):
+            block = left[start:stop] @ right
+            block *= float(scale)
+            yield block.reshape(-1)
+
+    return blocks
 
 
 def idct2(f: Spectrum) -> Matrix:

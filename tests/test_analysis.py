@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from lorafreq import dct
 from lorafreq.analysis import (
     MaskResult,
     SpectralSummary,
@@ -18,11 +19,12 @@ from lorafreq.analysis import (
     mask_count,
     reconstruct,
     sweep,
+    _select,
     topk_mask,
 )
 from lorafreq.container import merge_delta, pair_lora
 from lorafreq.dct import Spectrum, dct2
-from lorafreq.errors import ShapeMismatch, ZeroSpectrum
+from lorafreq.errors import ContainerError, ShapeMismatch, ZeroSpectrum
 from lorafreq.fixtures import FixtureSpec, generate
 from lorafreq.linalg import Matrix
 
@@ -265,6 +267,9 @@ TIE_SPECTRA = {
                          [-1.0, 1.0, 2.0, -2.0],
                          [0.5, -0.5, -2.0, 2.0]],
     "signed-zeros": [[0.0, -0.0, 1.0], [-0.0, 0.0, -1.0], [0.0, 2.0, -0.0]],
+    # 3.125 and 3.0 share a histogram bucket: ties at 3.0 below a larger mate.
+    "ties-under-a-bucket-mate": [[3.125, -3.0, 3.0, 1.0],
+                                 [-3.0, 3.125, 0.5, 3.0]],
     "all-equal-magnitude": np.where(
         np.random.default_rng(7).random((5, 9)) < 0.5, -2.5, 2.5
     ),
@@ -339,6 +344,84 @@ class TestTopkOracle:
             assert abs(point.retained_energy_fraction - fsum_fraction) <= 1e-15
             assert point.k_count == chosen.size
             assert point.relative_error == pytest.approx(err, rel=0, abs=1e-12)
+
+
+class TestSelectionCore:
+    """_select, the three-pass selection of topk_mask and mask, over several
+    row blocks with a ragged last one, against the stable-sort reference."""
+
+    @staticmethod
+    def blocks_of(flat: np.ndarray, size: int):
+        return lambda: (flat[i : i + size].copy() for i in range(0, flat.size, size))
+
+    @pytest.mark.parametrize("size", [1, 7])
+    @pytest.mark.parametrize("name", sorted(TIE_SPECTRA))
+    def test_core_matches_reference(self, name, size):
+        flat = spectrum_of(TIE_SPECTRA[name]).coefficients.data
+        assert flat.size % size or size == 1
+        for k in ORACLE_K:
+            chosen, values, _ = reference_selection(flat, k)
+            got_chosen, got_values = _select(
+                self.blocks_of(flat, size), mask_count(k, flat.size)
+            )
+            assert got_chosen.dtype == np.int64
+            assert np.array_equal(got_chosen, chosen)
+            assert got_values.tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(TIE_SPECTRA))
+    def test_topk_mask_across_row_blocks(self, name, monkeypatch):
+        values = np.tile(np.asarray(TIE_SPECTRA[name], dtype=float), (3, 1))
+        m, n = values.shape
+        monkeypatch.setattr(dct, "_BLOCK_WORK", 4 * n)  # 4-row blocks
+        spans = dct._row_spans(m, n)
+        assert len(spans) > 1 and spans[-1][1] - spans[-1][0] != 4
+        f = spectrum_of(values)
+        for k in ORACLE_K:
+            mask = topk_mask(f, k)
+            chosen, kept, fraction = reference_selection(f.coefficients.data, k)
+            assert np.array_equal(mask.retained_flat_indices, chosen)
+            assert mask.retained_values.tobytes() == kept.tobytes()
+            assert mask.retained_energy_fraction == fraction
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, -np.nan])
+    def test_non_finite_entry_raises(self, bad):
+        flat = np.arange(10.0)
+        flat[7] = bad
+        with pytest.raises(ContainerError, match="not finite"):
+            _select(self.blocks_of(flat, 4), 3)
+
+    @pytest.mark.parametrize("scale", [0.0, -0.0, 1e-170])
+    def test_zero_energy_raises(self, scale):
+        flat = np.full(10, scale)
+        with pytest.raises(ZeroSpectrum):
+            _select(self.blocks_of(flat, 4), 3)
+
+    def test_a_square_above_zero_is_kept(self):
+        flat = np.zeros(10)
+        flat[3] = -1e-150  # its square, 1e-300, is still normal
+        chosen, values = _select(self.blocks_of(flat, 4), 1)
+        assert chosen.tolist() == [3] and values.tolist() == [-1e-150]
+
+    def test_blocks_that_change_between_passes_raise(self):
+        calls = []
+
+        def blocks():
+            calls.append(None)
+            yield np.arange(8.0) if len(calls) < 3 else np.arange(8.0) / 2
+
+        with pytest.raises(RuntimeError, match="changed between passes"):
+            _select(blocks, 4)
+
+    def test_one_bucket_spectrum_holds_one_spectrum(self, peak_alloc):
+        """Equal magnitudes put every entry in the boundary bucket, the
+        selection's worst case: it holds their |F| and a few row blocks,
+        where a copy of the bucket would reach 2 x 8mn."""
+        rng = np.random.default_rng(98)
+        flat = np.where(rng.random(1024 * 1024) < 0.5, -1.5, 1.5)
+        blocks = self.blocks_of(flat, 2**16)
+        (chosen, _), peak = peak_alloc(_select, blocks, flat.size // 10)
+        assert np.array_equal(chosen, np.arange(flat.size // 10))
+        assert peak <= 1.5 * 8 * flat.size
 
 
 class TestReconstruct:

@@ -22,7 +22,7 @@ import lorafreq
 import lorafreq.container
 import lorafreq.dct
 from lorafreq import codec, report
-from lorafreq.analysis import reconstruct, topk_mask
+from lorafreq.analysis import _factored_selection, reconstruct, topk_mask
 from lorafreq.cli import _csv_text, _write_chunks, main
 from lorafreq.container import (
     AdapterFile,
@@ -34,7 +34,7 @@ from lorafreq.container import (
 )
 from lorafreq.dct import dct2_factored
 from lorafreq.errors import CorruptSparse
-from lorafreq.fixtures import FixtureSpec, generate
+from lorafreq.fixtures import FixtureSpec, generate, generate_set
 
 ANALYSIS_SCHEMA = json.loads(
     resources.files("lorafreq").joinpath("schemas/analysis_report.schema.json").read_text()
@@ -278,6 +278,59 @@ class TestMask:
         for bad in ["0", "101", "-3"]:
             assert main(["mask", str(src), "--k", bad,
                          "--out", str(tmp_path / "o.st")]) == 1
+
+
+class TestMaskOfTheWholeSpectrum:
+    """mask selects from row blocks of the factor product; its sparse file
+    equals the encoded topk_mask of the whole spectrum, whatever the BLAS
+    threading and pool size."""
+
+    SPECS = (
+        FixtureSpec("gaussian_iid", 257, 1024, 16, 3),  # last block: one row
+        FixtureSpec("mixed", 700, 333, 8, 4, 0.3),  # ragged last block
+    )
+    K = ("0.01", "10", "50", "100")
+
+    def test_sparse_file_equals_encoded_topk_mask(self, tmp_path):
+        src = tmp_path / "src.st"
+        src.write_bytes(write_container(generate_set(self.SPECS)))
+        code = (
+            "import sys; from lorafreq.cli import main; s, o, t = sys.argv[1:4]; "
+            "sys.exit(sum(main(['mask', s, '--k', k, '--threads', t, "
+            "'--out', f'{o}/{k}.st']) for k in sys.argv[4:]))"
+        )
+        env_unset = subprocess_env()
+        env_unset.pop("OPENBLAS_NUM_THREADS", None)
+        runs = (("one", subprocess_env(OPENBLAS_NUM_THREADS="1"), "1"),
+                ("unset", env_unset, "2"))
+        for tag, env, threads in runs:
+            subprocess.run(
+                [sys.executable, "-c", code, str(src), str(tmp_path / tag), threads,
+                 *self.K],
+                env=env, capture_output=True, timeout=300, check=True,
+            )
+        pairs = pair_lora(read_container(src.read_bytes())).pairs
+        for k in self.K:
+            encoded = []
+            for pair in pairs:
+                s = dct2_factored(pair.b_matrix, pair.a_matrix, pair.scale)
+                mask = topk_mask(s, float(k))
+                flat = s.coefficients.data
+                order = np.argsort(-np.abs(flat), kind="stable")[: mask.k_count]
+                assert np.array_equal(mask.retained_flat_indices, np.sort(order))
+                encoded.append(codec.encode_sparse(pair.prefix, s, mask))
+            want = write_container(codec.pack_sparse_file(encoded))
+            for tag, _, _ in runs:
+                assert (tmp_path / tag / f"{k}.st").read_bytes() == want, (tag, k)
+
+    def test_selection_holds_under_one_spectrum(self, peak_alloc):
+        m = 1024
+        pair = pair_lora(generate(FixtureSpec("mixed", m, m, 16, 11, 0.3))).pairs[0]
+        args = (pair.b_matrix, pair.a_matrix, pair.scale, 10.0)
+        _factored_selection(*args)  # numpy.fft's one-time set-up
+        (indices, _), peak = peak_alloc(_factored_selection, *args)
+        assert indices.size == m * m // 10 + 1
+        assert peak <= 1.1 * 8 * m * m
 
 
 class TestDecompress:
@@ -645,22 +698,38 @@ class TestHostileScale:
         assert self.run(capsys, argv)[0] == 2
         assert not out.exists()
 
-    # analyze, sweep and correlate keep the product unchecked; its energy's
-    # total stands in for the entry-by-entry finiteness check.
+    # No command checks the product entry by entry as a Matrix would:
+    # analyze, sweep and correlate test its energy's total, and mask's
+    # histogram of |F| counts the non-finite entries of its row blocks.
     @pytest.mark.parametrize(
-        "argv", [["analyze"], ["sweep", "--k-list", "10"], ["correlate"]],
-        ids=["analyze", "sweep", "correlate"],
+        "argv",
+        [["analyze"], ["sweep", "--k-list", "10"], ["correlate"],
+         ["mask", "--k", "10", "--emit", "sparse"],
+         ["mask", "--k", "10", "--emit", "dense"]],
+        ids=["analyze", "sweep", "correlate", "mask-sparse", "mask-dense"],
     )
     def test_non_finite_product_exits_2(self, tmp_path, capsys, monkeypatch, argv):
         src = synth(tmp_path)
         product = lorafreq.dct._factored_product
+        rows = lorafreq.dct._factored_rows
 
         def with_inf(b, a, scale):
             coeffs = product(b, a, scale)
             coeffs[-1, 0] = np.inf
             return coeffs
 
+        def rows_with_inf(b, a, scale):
+            blocks = rows(b, a, scale)
+
+            def blocks_with_inf():
+                for block in blocks():
+                    block[-1] = np.inf
+                    yield block
+
+            return blocks_with_inf
+
         monkeypatch.setattr(lorafreq.dct, "_factored_product", with_inf)
+        monkeypatch.setattr(lorafreq.dct, "_factored_rows", rows_with_inf)
         out = tmp_path / "out"
         code, err = self.run(capsys, [argv[0], str(src), *argv[1:], "--out", str(out)])
         assert code == 2

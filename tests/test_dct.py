@@ -14,9 +14,13 @@ from lorafreq.analysis import energy_curve, k_for_energy
 from lorafreq.container import merge_delta, pair_lora
 from lorafreq.dct import (
     _BLOCK,
+    _BLOCK_WORK,
     Spectrum,
     _dct_axis,
+    _factored_product,
+    _factored_rows,
     _idct_axis,
+    _row_spans,
     dct2,
     dct2_factored,
     dct2_reference,
@@ -324,3 +328,50 @@ class TestDct2Factored:
                 k_for_energy(energy_curve(factored)).coeff_count_90
                 == k_for_energy(energy_curve(merged)).coeff_count_90
             ), pair.prefix
+
+
+class TestFactoredRows:
+    """mask reads the factored product in row blocks; they must be the
+    product's rows bit for bit, or the sparse file's bytes would follow how
+    the BLAS rounds each shape."""
+
+    @pytest.mark.parametrize(
+        "m, n, r", [(1, 9, 1), (3, 5, 2), (257, 1024, 16), (700, 333, 8), (5, 70000, 4)]
+    )
+    def test_spans_tile_the_rows(self, m, n, r):
+        spans = _row_spans(m, n, r)
+        assert [start for start, _ in spans] == [0] + [stop for _, stop in spans[:-1]]
+        assert spans[-1][1] == m
+        rows = max(1, _BLOCK_WORK // (n * r))
+        assert all(0 < stop - start <= rows for start, stop in spans)
+
+    @pytest.mark.parametrize(
+        "kind, m, n, r, noise",
+        [
+            ("gaussian_iid", 257, 1024, 16, 0.0),  # a last block of one row
+            ("mixed", 700, 333, 8, 0.3),  # rounds unlike one 700-row product
+            ("mixed", 768, 768, 8, 0.3),
+            ("gaussian_iid", 129, 600, 64, 0.0),
+            ("dense_gaussian", 300, 300, 1, 0.0),  # r = n
+            ("gaussian_iid", 4, 70000, 4, 0.0),  # one-row blocks
+        ],
+        ids=["257x1024-r16", "700x333-r8", "768x768-r8", "129x600-r64", "fullrank-300",
+             "4x70000"],
+    )
+    def test_blocks_are_the_product_rows(self, kind, m, n, r, noise):
+        pair = fixture_pair(kind, m, n, r, seed=12, noise_level=noise)
+        args = (pair.b_matrix, pair.a_matrix, 0.7)
+        blocks = _factored_rows(*args)
+        want = _factored_product(*args).reshape(-1)
+        for _ in range(2):  # every call yields the same blocks
+            got = list(blocks())
+            assert len(got) == len(_row_spans(m, n, pair.rank)) > 1
+            assert all(block.flags.writeable for block in got)
+            assert np.concatenate(got).tobytes() == want.tobytes()
+
+    def test_dct2_factored_holds_one_spectrum(self, peak_alloc):
+        pair = fixture_pair("mixed", 1024, 1024, 16, seed=11, noise_level=0.3)
+        args = (pair.b_matrix, pair.a_matrix, pair.scale)
+        dct2_factored(*args)  # numpy.fft's one-time set-up
+        _, peak = peak_alloc(dct2_factored, *args)
+        assert peak <= 1.15 * 8 * 1024 * 1024
