@@ -6,13 +6,21 @@ import numpy as np
 import pytest
 
 from lorafreq.analysis import dct_k90, energy_curve
-from lorafreq.container import merge_delta, pair_lora, write_container
+from lorafreq.container import (
+    AdapterFile,
+    TensorRecord,
+    merge_delta,
+    pair_lora,
+    write_container,
+)
 from lorafreq.dct import dct2
 from lorafreq.errors import InvalidSpec
 from lorafreq.fixtures import (
+    _BLOCK_PAIRS,
     FixtureSpec,
     GaussianStream,
     SplitMix64,
+    _smooth_factors,
     generate,
     generate_set,
     ramp_specs,
@@ -33,6 +41,37 @@ def splitmix_oracle(seed, count):
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
         out.append(z ^ (z >> 31))
     return out
+
+
+def scalar_fill(gauss, rows, cols, scale=1.0):
+    values = [gauss.next() * scale for _ in range(rows * cols)]
+    return np.array(values, dtype=np.float64).reshape(rows, cols)
+
+
+def scalar_set(specs):
+    """generate_set rebuilt one next() at a time."""
+    tensors = []
+    for layer, spec in enumerate(specs):
+        m, n, r = spec.m, spec.n, spec.r
+        gauss = GaussianStream(SplitMix64(spec.seed))
+        if spec.kind == "gaussian_iid":
+            scale = (1.0 / math.sqrt(r)) ** 0.5
+            a = scalar_fill(gauss, r, n, scale)
+            b = scalar_fill(gauss, m, r, scale)
+        elif spec.kind == "smooth_lowrank":
+            a, b = _smooth_factors(m, n, r)
+        elif spec.kind == "mixed":
+            a, b = _smooth_factors(m, n, r)
+            a = a + spec.noise_level * scalar_fill(gauss, r, n)
+            b = b + spec.noise_level * scalar_fill(gauss, m, r)
+        elif m >= n:
+            a, b = np.eye(n), scalar_fill(gauss, m, n)
+        else:
+            a, b = scalar_fill(gauss, m, n), np.eye(m)
+        base = f"layer.{layer}.query"
+        tensors.append(TensorRecord(f"{base}.lora_A.weight", "F64", a.shape, a))
+        tensors.append(TensorRecord(f"{base}.lora_B.weight", "F64", b.shape, b))
+    return AdapterFile(tensors=tuple(tensors), metadata={})
 
 
 class TestSplitMix64:
@@ -65,6 +104,20 @@ class TestSplitMix64:
         # All-zero bits map to 2^-53, all-one bits to exactly 1.0.
         assert Forced(0).next_unit() == 2.0**-53
         assert Forced(MASK64).next_unit() == 1.0
+
+    @pytest.mark.parametrize("seed", [0, 2**63, MASK64])
+    def test_block_equals_scalar_draws(self, seed):
+        # Seeds near 2^64 make seed + i*gamma wrap inside the block.
+        block, scalar = SplitMix64(seed), SplitMix64(seed)
+        got = block.next_block(300)
+        assert got.dtype == np.uint64
+        assert got.tolist() == [scalar.next_u64() for _ in range(300)]
+        assert block.next_u64() == scalar.next_u64()
+
+    def test_unit_block_equals_scalar_units(self):
+        block, scalar = SplitMix64(MASK64), SplitMix64(MASK64)
+        got = block.next_unit_block(301)
+        assert got.tolist() == [scalar.next_unit() for _ in range(301)]
 
     def test_unit_samples_in_range(self):
         rng = SplitMix64(9)
@@ -110,6 +163,31 @@ class TestGaussianStream:
         flat = [g.next() for _ in range(12)]
         np.testing.assert_array_equal(a.ravel(), flat)
 
+    @pytest.mark.parametrize("carried", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "shape",
+        [(0, 5), (1, 1), (3, 5), (4, 4), (2, _BLOCK_PAIRS), (3, _BLOCK_PAIRS + 1)],
+    )
+    def test_fill_equals_next_stream(self, carried, shape):
+        # An odd `carried` leaves a spare for fill to take first; an odd size
+        # leaves one behind. 2 x _BLOCK_PAIRS takes exactly one block (with a
+        # spare carried in, its last sine is left over); the last spans two.
+        blocked, scalar = GaussianStream(SplitMix64(8)), GaussianStream(SplitMix64(8))
+        for _ in range(carried):
+            assert blocked.next() == scalar.next()
+        got = blocked.fill(*shape, 0.75)
+        want = [scalar.next() * 0.75 for _ in range(shape[0] * shape[1])]
+        assert got.shape == shape
+        assert got.tobytes() == np.array(want, dtype=np.float64).tobytes()
+        assert [blocked.next() for _ in range(3)] == [scalar.next() for _ in range(3)]
+
+    def test_fill_peak_memory(self, peak_alloc):
+        # 16 blocks: one block's arrays and float lists are small next to the
+        # output, where a fill through whole-size lists holds ~15x the output.
+        g = GaussianStream(SplitMix64(1))
+        out, peak = peak_alloc(g.fill, 32, _BLOCK_PAIRS)
+        assert peak <= 1.5 * out.nbytes
+
     def test_fill_scale(self):
         a = GaussianStream(SplitMix64(5)).fill(2, 2, 0.5)
         b = GaussianStream(SplitMix64(5)).fill(2, 2)
@@ -135,6 +213,11 @@ class TestSpecValidation:
         with pytest.raises(InvalidSpec):
             FixtureSpec(kind="smooth_lowrank", m=8, n=8, r=2, noise_level=0.1)
         FixtureSpec(kind="mixed", m=8, n=8, r=2, noise_level=0.1)
+
+    @pytest.mark.parametrize("level", [-0.1, float("nan"), float("inf")])
+    def test_noise_message_names_value(self, level):
+        with pytest.raises(InvalidSpec, match=f"finite and >= 0, got {level}$"):
+            FixtureSpec(kind="mixed", m=8, n=8, r=2, noise_level=level)
 
     def test_noise_nonnegative_finite(self):
         with pytest.raises(InvalidSpec):
@@ -308,6 +391,21 @@ class TestSets:
         result = pair_lora(file)
         assert [p.layer_index for p in result.pairs] == [0, 1, 2]
         assert not result.orphans
+
+    def test_generate_set_matches_scalar_stream(self):
+        # Odd r*n carries a spare from A into B; the 1 x 8193 factor spans
+        # two blocks.
+        specs = [
+            FixtureSpec(kind="gaussian_iid", m=7, n=9, r=3, seed=MASK64),
+            FixtureSpec(kind="gaussian_iid", m=3, n=2 * _BLOCK_PAIRS + 1, r=1, seed=2),
+            FixtureSpec(kind="smooth_lowrank", m=6, n=5, r=3, seed=3),
+            FixtureSpec(kind="mixed", m=9, n=7, r=3, seed=4, noise_level=0.3),
+            FixtureSpec(kind="dense_gaussian", m=5, n=7, seed=5),
+            FixtureSpec(kind="dense_gaussian", m=7, n=5, seed=6),
+        ]
+        assert write_container(generate_set(specs)) == write_container(
+            scalar_set(specs)
+        )
 
     def test_generate_set_empty(self):
         with pytest.raises(InvalidSpec):
