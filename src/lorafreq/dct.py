@@ -15,17 +15,15 @@ The transform is separable, F = C_m x C_n^T, so the spectrum of a low-rank
 update scale * B @ A is scale * (C_m B)(A C_n^T). ``dct2_factored`` takes
 the column DCT of the m x r factor and the row DCT of the r x n factor, then
 forms their product block by block of rows; the m x n update itself is
-never built. Every command
-gets its spectrum from the transformed factors: analyze, sweep and correlate
-square and sort that product in its own buffer, and mask reads it in row
-blocks (``_factored_rows``) and never holds all of it. ``dct2`` of a merged
-update is the library and test reference for both.
+never built. Every command gets its spectrum this way (see ``analysis``);
+``dct2`` of a merged update is the library and test reference for both.
 
-The factor transforms and every inverse (``idct2``, ``scatter_idct2``) run
-on ``numpy.fft``; an inverse is computed in place in one m x n buffer. Only
-``dct2``, the library and test reference, runs on ``scipy.fft``, imported on
-first use: importing scipy costs more than analyzing a BERT-base-sized
-adapter.
+Every transform runs on ``numpy.fft``, in place, through one kernel per
+direction (``_dct_axis``, ``_idct_axis``). Each step takes whole lines along
+one axis: ``_BLOCK`` of them, or as many as fill ``_STEP`` entries when they
+are short, since a numpy.fft call costs ~10 us before any work. numpy.fft
+transforms each line on its own, so a line's bits do not depend on the step
+it shares: blocking changes no output.
 """
 
 from __future__ import annotations
@@ -46,11 +44,9 @@ class Spectrum:
 
 
 def dct2(x: Matrix) -> Spectrum:
-    """Forward orthonormal 2D DCT-II."""
-    from scipy import fft
-
-    coeffs = fft.dctn(x.array, type=2, norm="ortho")
-    return Spectrum(Matrix(coeffs))
+    """Forward orthonormal 2D DCT-II, in one copy of x; every coefficient
+    is within 2 * eps * ||x||_F of ``scipy.fft.dctn(x, norm="ortho")``."""
+    return Spectrum(_both_axes(_dct_axis, np.array(x.array)))
 
 
 def dct2_factored(b: Matrix, a: Matrix, scale: float) -> Spectrum:
@@ -74,13 +70,20 @@ def _factored_product(b: Matrix, a: Matrix, scale: float) -> np.ndarray:
     keeps this buffer instead of a Matrix checks that the total energy it
     sums is finite.
     """
-    left = _dct_axis(b.array, axis=0)
-    right = _dct_axis(a.array, axis=1)
+    left, right = _factor_dcts(b, a)
     coeffs = np.empty((left.shape[0], right.shape[1]))
     for start, stop in _row_spans(*coeffs.shape, right.shape[0]):
         np.matmul(left[start:stop], right, out=coeffs[start:stop])
     coeffs *= float(scale)
     return coeffs
+
+
+def _factor_dcts(b: Matrix, a: Matrix) -> tuple[np.ndarray, np.ndarray]:
+    """C_m b and a C_n^T, each in a new C-contiguous array."""
+    left, right = np.array(b.array), np.array(a.array)
+    _dct_axis(left, axis=0)
+    _dct_axis(right, axis=1)
+    return left, right
 
 
 # Multiply-adds in one row block of a factored product, so a block holds at
@@ -104,8 +107,7 @@ def _factored_rows(b: Matrix, a: Matrix, scale: float):
     as flat row blocks, in order, each a new writable array, with the same
     bits; the whole product is never held, and the factor DCTs are taken
     once."""
-    left = _dct_axis(b.array, axis=0)
-    right = _dct_axis(a.array, axis=1)
+    left, right = _factor_dcts(b, a)
 
     def blocks():
         for start, stop in _row_spans(left.shape[0], right.shape[1], right.shape[0]):
@@ -118,56 +120,52 @@ def _factored_rows(b: Matrix, a: Matrix, scale: float):
 
 def idct2(f: Spectrum) -> Matrix:
     """Inverse of :func:`dct2` (separable orthonormal DCT-III)."""
-    return _inverted(np.array(f.coefficients.array))
+    return _both_axes(_idct_axis, np.array(f.coefficients.array))
 
 
 def scatter_idct2(shape: tuple[int, int], flat_indices, values) -> Matrix:
-    """Inverse of a spectrum that is zero outside the given flat indices.
-
-    Allocates one m x n buffer, inverts it in place, and hands it to the
-    returned Matrix without a copy; ``values`` is only read.
-    """
+    """Inverse of a spectrum that is zero outside the given flat indices, in
+    one m x n buffer; ``values`` is only read."""
     m, n = shape
     flat = np.zeros(m * n)
     flat[flat_indices] = values
-    return _inverted(flat.reshape(m, n))
+    return _both_axes(_idct_axis, flat.reshape(m, n))
 
 
-def _inverted(buffer: np.ndarray) -> Matrix:
-    """The 2-D inverse of a writable C-contiguous spectrum, in its own buffer.
-
-    A non-finite coefficient raises Matrix's ValueError, not a warning.
-    """
+def _both_axes(kernel, buffer: np.ndarray) -> Matrix:
+    """Run ``kernel`` along the rows, then the columns, of a writable C-contiguous
+    array and adopt it as a Matrix; a non-finite result raises ValueError."""
     with np.errstate(invalid="ignore", over="ignore"):
-        _idct_axis(buffer, axis=1)
-        _idct_axis(buffer, axis=0)
+        kernel(buffer, axis=1)
+        kernel(buffer, axis=0)
     return Matrix(buffer, copy=False)
 
 
-def _dct_axis(x: np.ndarray, axis: int) -> np.ndarray:
-    """Orthonormal DCT-II of a 2-D array along one axis, via one complex FFT.
+# Scratch per step: about 60 (_dct_axis) and 24 (_idct_axis) bytes per entry.
+_BLOCK = 8
+_STEP = 4096
+
+
+def _dct_axis(x: np.ndarray, axis: int) -> None:
+    """Orthonormal DCT-II of a writable 2-D float64 array along one axis, in place.
 
     Makhoul's reordering (IEEE TASSP 1980): with v the even-indexed entries
     followed by the odd-indexed ones reversed, the unscaled DCT-II is
-    X[k] = Re(exp(-i pi k / 2N) FFT(v)[k]). Returns a new C-contiguous
-    float64 array, which the caller may write to.
+    X[k] = Re(exp(-i pi k / 2N) FFT(v)[k]).
     """
-    if axis == 0:
-        return _dct_axis(x.T, axis=1).T.copy()
-    n = x.shape[1]
-    v = np.concatenate((x[:, 0::2], x[:, 1::2][:, ::-1]), axis=1)
-    spectrum = np.fft.fft(v, axis=1)
+    lines = x if axis == 1 else x.T
+    n = lines.shape[1]
     angle = np.pi * np.arange(n) / (2 * n)
     norm = np.full(n, np.sqrt(2.0 / n))
     norm[0] = np.sqrt(1.0 / n)
-    out = spectrum.real * (norm * np.cos(angle))
-    out += spectrum.imag * (norm * np.sin(angle))
-    return out
-
-
-# Rows (columns, for axis 0) that _idct_axis inverts per step. Its scratch
-# is about 24 * _BLOCK * N bytes, whatever the length of the other axis.
-_BLOCK = 8
+    cos, sin = norm * np.cos(angle), norm * np.sin(angle)
+    rows = max(_BLOCK, _STEP // n)
+    for start in range(0, lines.shape[0], rows):
+        block = lines[start : start + rows]
+        v = np.concatenate((block[:, 0::2], block[:, 1::2][:, ::-1]), axis=1)
+        spectrum = np.fft.fft(v, axis=1)
+        np.multiply(spectrum.real, cos, out=block)
+        block += spectrum.imag * sin
 
 
 def _idct_axis(x: np.ndarray, axis: int) -> None:
@@ -178,8 +176,8 @@ def _idct_axis(x: np.ndarray, axis: int) -> None:
     X[N] = 0, the FFT of the reordered signal is
     V[k] = exp(i pi k / 2N) (X[k] / a(k) - i X[N-k] / a(N-k)). One inverse
     real FFT of V[0..N/2] gives v, and x[2j] = v[j], x[2j+1] = v[N-1-j].
-    Lines go through ``_BLOCK`` at a time, in a spectrum scratch laid out
-    like ``x``, so a block of columns is read along x's rows.
+    Lines go through a step at a time, in a spectrum scratch laid out like
+    ``x``, so a block of columns is read along x's rows.
     """
     lines = x if axis == 1 else x.T
     count, n = lines.shape
@@ -188,7 +186,7 @@ def _idct_axis(x: np.ndarray, axis: int) -> None:
     # the 1/N of the inverse out.
     twiddle = np.exp(1j * np.pi / (2 * n) * np.arange(half)) * np.sqrt(0.5 / n)
     twiddle[0] = np.sqrt(1.0 / n)
-    rows = min(_BLOCK, count)
+    rows = min(max(_BLOCK, _STEP // n), count)
     order = "C" if axis == 1 else "F"
     spectrum = np.empty((rows, half), dtype=np.complex128, order=order)
     for start in range(0, count, rows):

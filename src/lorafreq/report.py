@@ -72,7 +72,8 @@ def map_matrices(fn, items, threads: int | None, bounded: bool = False):
     transforms never raise it), and ZeroSpectrum is raised when no item is
     left.
     """
-    workers = threads or len(os.sched_getaffinity(0))
+    affinity = getattr(os, "sched_getaffinity", None)  # absent on macOS and Windows
+    workers = threads or (len(affinity(0)) if affinity else os.cpu_count() or 1)
     todo = iter(items)
     window = deque()
     live = False

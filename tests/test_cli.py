@@ -16,9 +16,9 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
-import scipy.fft
 
 import lorafreq
+import lorafreq.analysis
 import lorafreq.container
 import lorafreq.dct
 from lorafreq import codec, report
@@ -777,8 +777,13 @@ _LOADED_SCIPY = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
 
 
 def test_package_import_loads_no_scipy():
-    """Importing scipy costs more than analyzing a BERT-base-sized adapter."""
-    code = f"import sys, lorafreq, lorafreq.cli; print({_LOADED_SCIPY})"
+    """Importing scipy costs more than analyzing a BERT-base-sized adapter.
+    The library's full-size transforms load none either."""
+    code = (
+        "import sys, lorafreq, lorafreq.cli; "
+        "lorafreq.idct2(lorafreq.dct2(lorafreq.Matrix([[1.0, 2.0], [3.0, 4.0]]))); "
+        f"print({_LOADED_SCIPY})"
+    )
     done = subprocess.run(
         [sys.executable, "-c", code],
         env=subprocess_env(),
@@ -790,7 +795,7 @@ def test_package_import_loads_no_scipy():
     assert done.stdout.strip() == "[]"
 
 
-def test_only_full_size_inverses_and_the_p_value_load_scipy(tmp_path):
+def test_only_the_p_value_loads_scipy(tmp_path):
     """synth, analyze, sparse mask and sweep run without scipy; correlate
     loads it on first use, for the p-value."""
     code = f"""
@@ -861,8 +866,9 @@ def test_commands_take_the_spectrum_from_the_factors(tmp_path, monkeypatch):
         raise AssertionError("a command merged, transformed or inverted an update")
 
     monkeypatch.setattr(lorafreq.container, "matmul", forbidden)
-    monkeypatch.setattr(scipy.fft, "dctn", forbidden)
-    monkeypatch.setattr(scipy.fft, "idctn", forbidden)
+    monkeypatch.setattr(lorafreq.dct, "dct2", forbidden)
+    monkeypatch.setattr(lorafreq.analysis, "dct2", forbidden)
+    monkeypatch.setattr(lorafreq.dct, "idct2", forbidden)
     monkeypatch.setattr(lorafreq.dct, "_idct_axis", forbidden)
     pair = pair_lora(read_container(src.read_bytes())).pairs[0]
     with pytest.raises(AssertionError):
@@ -999,9 +1005,9 @@ class TestDeterminism:
                 outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
-    def test_default_pool_has_one_thread_per_usable_core(self, monkeypatch):
-        """Without --threads the pool follows the affinity mask, not the
-        machine's core count, since each worker holds an m x n spectrum."""
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        """The max_workers of every pool map_matrices starts, in order."""
         sizes = []
 
         class RecordingPool(ThreadPoolExecutor):
@@ -1009,12 +1015,28 @@ class TestDeterminism:
                 sizes.append(max_workers)
                 super().__init__(max_workers)
 
+        monkeypatch.setattr(report, "ThreadPoolExecutor", RecordingPool)
+        return sizes
+
+    def test_default_pool_has_one_thread_per_usable_core(self, monkeypatch, pool_sizes):
+        """Without --threads the pool follows the affinity mask, not the
+        machine's core count, since each worker holds an m x n spectrum."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        monkeypatch.setattr(report, "ThreadPoolExecutor", RecordingPool)
         assert list(report.map_matrices(lambda x: 2 * x, [1, 2, 3], None)) == [2, 4, 6]
         assert list(report.map_matrices(lambda x: 2 * x, [1, 2, 3], 3)) == [2, 4, 6]
-        assert sizes == [1, 3]
+        assert pool_sizes == [1, 3]
+
+    @pytest.mark.parametrize("cores, workers", [(3, 3), (None, 1)])
+    def test_default_pool_without_an_affinity_mask(
+        self, monkeypatch, pool_sizes, cores, workers
+    ):
+        """macOS and Windows have no os.sched_getaffinity: the pool then has
+        one thread per core, or one when the count is unknown."""
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        assert list(report.map_matrices(lambda x: 2 * x, [1, 2, 3], None)) == [2, 4, 6]
+        assert pool_sizes == [workers]
 
     def test_blas_threads_do_not_change_output(self, tmp_path):
         """Each spectrum is a BLAS product; its bytes must not follow BLAS's

@@ -15,6 +15,7 @@ from lorafreq.container import merge_delta, pair_lora
 from lorafreq.dct import (
     _BLOCK,
     _BLOCK_WORK,
+    _STEP,
     Spectrum,
     _dct_axis,
     _factored_product,
@@ -111,6 +112,22 @@ class TestDct2:
         f = dct2(Matrix(np.ones((3, 8))))
         assert f.coefficients.shape == (3, 8)
 
+    @pytest.mark.parametrize(
+        "shape", [(1, 1), (1, 9), (9, 1), (2, 2), (48, 64), (700, 333)]
+    )
+    def test_within_its_bound_of_scipy(self, shape):
+        x = np.random.default_rng(shape[0] * 1000 + shape[1]).standard_normal(shape)
+        got = dct2(Matrix(x)).coefficients.array
+        want = fft.dctn(x, type=2, norm="ortho")
+        eps = np.finfo(float).eps
+        assert np.max(np.abs(got - want)) <= 2 * eps * np.linalg.norm(x)
+
+    def test_holds_one_copy_of_the_input(self, peak_alloc):
+        x = Matrix(np.random.default_rng(99).standard_normal((512, 512)))
+        dct2(x)  # numpy.fft's one-time set-up
+        _, peak = peak_alloc(dct2, x)
+        assert peak <= 1.2 * 8 * 512 * 512
+
 
 class TestIdct2:
     def test_dc_only_spectrum_reconstructs_constant(self):
@@ -197,7 +214,7 @@ class TestReference:
 
 
 class TestDctAxis:
-    """The factor transform against scipy's orthonormal DCT-II."""
+    """The in-place forward kernel against scipy's orthonormal DCT-II."""
 
     @pytest.mark.parametrize("axis", [0, 1])
     @pytest.mark.parametrize("r", [1, 3, 8, 16])
@@ -205,15 +222,34 @@ class TestDctAxis:
     def test_matches_scipy(self, length, r, axis):
         rng = np.random.default_rng(length * 100 + r * 10 + axis)
         x = rng.standard_normal((length, r) if axis == 0 else (r, length))
-        x.setflags(write=False)
-        got = _dct_axis(x, axis)
+        got = x.copy()
+        assert _dct_axis(got, axis) is None  # the result is written into got
         want = fft.dct(x, type=2, norm="ortho", axis=axis)
         eps = np.finfo(float).eps
         assert np.max(np.abs(got - want)) <= 4 * eps * np.linalg.norm(x)
-        # dct2_factored scales its product in place, so the result is its own.
-        assert got.dtype == np.float64
-        assert got.flags.c_contiguous and got.flags.owndata and got.flags.writeable
-        assert _dct_axis(x, axis).tobytes() == got.tobytes()
+        again = x.copy()
+        _dct_axis(again, axis)
+        assert again.tobytes() == got.tobytes()
+
+
+@pytest.mark.parametrize("kernel", [_dct_axis, _idct_axis])
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("extra", [-1, 1, "2x+1"])
+@pytest.mark.parametrize("length", [51, 768])  # steps of 80 and of _BLOCK lines
+def test_kernel_bits_do_not_follow_the_block(kernel, axis, extra, length):
+    """Each line comes out as it would alone, byte for byte, so no output
+    depends on how the lines fall into steps."""
+    step = max(_BLOCK, _STEP // length)
+    lines = 2 * step + 1 if extra == "2x+1" else step + extra
+    rng = np.random.default_rng(length * 100 + lines * 10 + axis)
+    x = rng.standard_normal((length, lines) if axis == 0 else (lines, length))
+    whole = x.copy()
+    kernel(whole, axis)
+    for i in range(lines):
+        line = x[:, i : i + 1].copy() if axis == 0 else x[i : i + 1].copy()
+        kernel(line, axis)
+        got = whole[:, i : i + 1] if axis == 0 else whole[i : i + 1]
+        assert np.ascontiguousarray(got).tobytes() == line.tobytes()
 
 
 class TestIdctAxis:
