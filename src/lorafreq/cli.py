@@ -20,7 +20,6 @@ import json
 import os
 import re
 import tempfile
-from functools import partial
 from itertools import chain
 from pathlib import Path
 
@@ -28,7 +27,7 @@ import click
 
 from . import codec, report
 from .analysis import _factored_energies, _factored_selection, _sweep_points
-from .container import container_header, read_container, write_container
+from .container import container_chunks, container_header, read_container
 from .dct import scatter_idct2
 from .errors import (
     ContainerError,
@@ -165,16 +164,14 @@ def cmd_mask(input, k, out, emit, base_params, scale, threads):
         if emit == "sparse":
             return indices.size, codec._sparse(pair.prefix, shape, indices, values, k)
         # Only the kept coefficients wait for the file.
-        inverse = partial(scatter_idct2, shape, indices, values)
-        return indices.size, (f"{pair.prefix}.delta_w", shape, inverse)
+        return indices.size, (f"{pair.prefix}.delta_w", shape, indices, values)
 
     counts, items = zip(*report.map_matrices(one, pairs, threads))
     base = base_params or sum(p.out_shape[0] * p.out_shape[1] for p in pairs)
     accounting = codec.storage_report(base, k, list(counts))
 
     if emit == "sparse":
-        sparse_file = codec.pack_sparse_file(list(items))
-        _write_chunks(Path(out), [write_container(sparse_file)])
+        _write_chunks(Path(out), container_chunks(codec.pack_sparse_file(list(items))))
     else:
         _write_dense(Path(out), items, threads)
 
@@ -201,9 +198,9 @@ def cmd_mask(input, k, out, emit, base_params, scale, threads):
 def cmd_decompress(input, out, threads):
     """Reconstruct dense updates from a sparse spectral file."""
     spectra = codec.unpack_sparse_file(read_container(Path(input).read_bytes()))
+    # Not through decode_sparse: unpack_sparse_file has validated each one.
     tensors = [
-        (f"{s.name}.delta_w", s.shape, partial(codec.decode_sparse, s))
-        for s in spectra
+        (f"{s.name}.delta_w", s.shape, s.flat_indices, s.values) for s in spectra
     ]
     _write_dense(Path(out), tensors, threads)
     click.echo(f"decompressed {len(tensors)} matrices into {out}", err=True)
@@ -296,7 +293,7 @@ def cmd_synth(kind, m, n, r, seed, count, noise_level, rank_ramp, out):
             kind=kind, m=m, n=n, r=r, seed=seed, noise_level=noise_level
         )
         specs = repeat_specs(base, count)
-    _write_chunks(Path(out), [write_container(generate_set(specs))])
+    _write_chunks(Path(out), container_chunks(generate_set(specs)))
     click.echo(f"wrote {count} pair(s) to {out}", err=True)
 
 
@@ -371,16 +368,16 @@ def _prefixed_rows(prefix: str, text: str) -> str:
 
 
 def _write_dense(path: Path, tensors, threads) -> None:
-    """Write (name, shape, inverse) triples as a container of F64 tensors.
+    """Write (name, shape, flat indices, values) spectra, inverted, as F64.
 
     The header needs only names and shapes, so it is written first; each
-    inverse() then runs on the pool and its Matrix buffer goes straight
-    into the file, in sorted-name order, with at most ``threads`` alive.
+    inverse then runs on the pool and its Matrix buffer goes straight into
+    the file, in sorted-name order, with at most ``threads`` alive.
     """
     tensors = sorted(tensors, key=lambda t: t[0])
-    header = container_header([(name, "F64", shape) for name, shape, _ in tensors])
+    header = container_header([(t[0], "F64", t[1]) for t in tensors])
     payloads = report.map_matrices(
-        lambda t: t[2]().array.astype("<f8", copy=False),
+        lambda t: scatter_idct2(*t[1:]).array.astype("<f8", copy=False),
         tensors,
         threads,
         bounded=True,

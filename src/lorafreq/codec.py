@@ -2,10 +2,10 @@
 
 A masked spectrum is stored as two tensors inside the standard container:
 "<name>.spectral_indices", a 1 x c F64 tensor of exact integers (lossless
-for any index < 2^53), and "<name>.spectral_values", a 1 x c F32 tensor.
-File metadata marks the layout: format "spectral-sparse-v1", transform
-"dct2-ortho-v1", the uniform k_percent, and one "shape.<name>" entry per
-spectrum.
+for any index < 2^53), and "<name>.spectral_values", a 1 x c F32 tensor;
+any other dtype tag is CorruptSparse. File metadata marks the layout: format
+"spectral-sparse-v1", transform "dct2-ortho-v1", the uniform k_percent, and
+one "shape.<name>" entry per spectrum.
 """
 
 from __future__ import annotations
@@ -87,14 +87,11 @@ def encode_sparse(name: str, f: Spectrum, mask: MaskResult) -> SparseSpectrum:
     A value outside binary32 range would be cast to inf, which
     unpack_sparse_file rejects, so it raises ContainerError instead.
     """
-    indices = np.array(mask.retained_flat_indices, dtype=np.int64)
-    return _sparse(
-        name,
-        f.coefficients.shape,
-        indices,
-        mask.retained_values,
-        mask.k_percent_requested,
-    )
+    indices = np.asarray(mask.retained_flat_indices)
+    if indices.dtype != np.int64 or indices.flags.writeable:
+        indices = indices.astype(np.int64)
+    shape, values = f.coefficients.shape, mask.retained_values
+    return _sparse(name, shape, indices, values, mask.k_percent_requested)
 
 
 def _sparse(
@@ -130,7 +127,8 @@ def decode_sparse(s: SparseSpectrum) -> Matrix:
 
 
 def pack_sparse_file(spectra: list[SparseSpectrum]) -> AdapterFile:
-    """Lay spectra out as index/value tensor pairs in one container."""
+    """Lay spectra out as index/value tensor pairs in one container; the
+    values go in as they are, the indices as one binary64 copy."""
     if not spectra:
         raise InvalidSpec("cannot pack an empty spectrum list")
     names = [s.name for s in spectra]
@@ -163,7 +161,8 @@ def pack_sparse_file(spectra: list[SparseSpectrum]) -> AdapterFile:
 
 
 def unpack_sparse_file(file: AdapterFile) -> list[SparseSpectrum]:
-    """Inverse of pack_sparse_file."""
+    """Inverse of pack_sparse_file; each spectrum owns its arrays, one copy
+    each, so none holds a view of the file's bytes."""
     fmt = file.metadata.get("format")
     if fmt is None:
         raise NotSpectralFile("missing 'format' metadata key")
@@ -199,13 +198,13 @@ def unpack_sparse_file(file: AdapterFile) -> list[SparseSpectrum]:
             raise CorruptSparse(f"spectrum {base!r} is missing a tensor half")
         shape = _parse_shape(file.metadata, base)
         idx_t, val_t = parts["indices"], parts["values"]
-        for t in (idx_t, val_t):
-            if len(t.shape) != 2 or t.shape[0] != 1:
+        for t, tag in ((idx_t, "F64"), (val_t, "F32")):
+            if t.dtype != tag or len(t.shape) != 2 or t.shape[0] != 1:
                 raise CorruptSparse(
-                    f"tensor {t.name!r} must be 1xc, got shape {t.shape}"
+                    f"tensor {t.name!r} must be 1xc {tag}, is {t.shape} {t.dtype}"
                 )
-        # Checked before the casts: an out-of-range float wraps in the int64
-        # cast and overflows in the float32 one. NaN fails every comparison.
+        # Checked before the int64 cast, in which an out-of-range float
+        # wraps. NaN fails every comparison.
         raw_idx, raw_val = idx_t.data, val_t.data
         valid = (raw_idx >= 0) & (raw_idx < 2**32) & (raw_idx == np.floor(raw_idx))
         if not valid.all():
@@ -277,7 +276,7 @@ def _validate(s: SparseSpectrum) -> None:
         )
     if int(s.flat_indices[0]) < 0 or int(s.flat_indices[-1]) >= m * n:
         raise CorruptSparse(f"spectrum {s.name!r}: index out of range")
-    if s.flat_indices.size > 1 and not np.all(np.diff(s.flat_indices) > 0):
+    if not np.all(s.flat_indices[1:] > s.flat_indices[:-1]):
         raise CorruptSparse(
             f"spectrum {s.name!r}: indices must be strictly increasing"
         )

@@ -3,7 +3,8 @@
 File layout: 8 bytes little-endian unsigned header length H, then H bytes
 of UTF-8 JSON mapping tensor names to {"dtype", "shape", "data_offsets"}
 plus an optional "__metadata__" string map, then the raw little-endian
-row-major buffer. All payloads are upconverted to binary64 on read.
+row-major buffer. Each payload stays in its file dtype from read to write;
+``TensorRecord.as_matrix`` is the one place it is widened to binary64.
 """
 
 from __future__ import annotations
@@ -26,27 +27,28 @@ from .errors import (
 )
 from .linalg import Matrix, matmul
 
-DTYPE_WIDTHS = {"F16": 2, "F32": 4, "F64": 8}
-_NUMPY_DTYPES = {"F16": "<f2", "F32": "<f4", "F64": "<f8"}
+_DTYPES = {"F16": np.dtype("<f2"), "F32": np.dtype("<f4"), "F64": np.dtype("<f8")}
 _LAYER_SEGMENT = re.compile(r"(?:^|\.)layers?\.(\d+)(?:\.|$)")
 # Cap on scale·||B||_F·||A||_F: update energies stay 2^24 below the binary64 max.
 _MAX_UPDATE_NORM = 2.0**500
 
 
 class TensorRecord:
-    """One named tensor: dtype tag, shape, and flat row-major binary64 data."""
+    """One named tensor: dtype tag, shape, and flat row-major read-only data
+    in the tag's dtype. A read-only array in that dtype is kept as is (so a
+    record read from bytes is a view of them); anything else is copied."""
 
     __slots__ = ("name", "dtype", "shape", "data")
 
     def __init__(self, name: str, dtype: str, shape, data):
-        if dtype not in DTYPE_WIDTHS:
+        if dtype not in _DTYPES:
             raise MalformedHeader(f"unknown dtype {dtype!r} for tensor {name!r}")
         shape = tuple(int(s) for s in shape)
         if any(s < 0 for s in shape):
             raise MalformedHeader(f"negative shape {shape} for tensor {name!r}")
-        # A signalling NaN warns in this cast; the finiteness checks reject it.
-        with np.errstate(invalid="ignore"):
-            flat = np.array(data, dtype=np.float64, order="C").reshape(-1)
+        keep = isinstance(data, np.ndarray) and not data.flags.writeable
+        flat = np.array(data, _DTYPES[dtype], copy=None if keep else True, order="C")
+        flat = flat.reshape(-1)
         if flat.size != math.prod(shape):
             raise ValueError(
                 f"tensor {name!r}: {flat.size} values do not fill shape {shape}"
@@ -58,12 +60,15 @@ class TensorRecord:
         self.data = flat
 
     def as_matrix(self) -> Matrix:
+        """The data widened to a binary64 Matrix, the only widening copy."""
         if len(self.shape) != 2:
             raise ShapeMismatch(
                 f"tensor {self.name!r} has shape {self.shape}, expected 2-D"
             )
         try:
-            return Matrix(self.data.reshape(self.shape))
+            # A signalling NaN warns in this cast; Matrix rejects it as NaN.
+            with np.errstate(invalid="ignore"):
+                return Matrix(self.data.reshape(self.shape))
         except ValueError as exc:  # a zero dimension or a NaN/Inf entry
             raise ContainerError(f"tensor {self.name!r}: {exc}") from exc
 
@@ -163,7 +168,10 @@ class PairingResult:
 
 
 def read_container(raw: bytes) -> AdapterFile:
-    """Parse container bytes into an AdapterFile."""
+    """Parse container bytes into an AdapterFile whose records are views of
+    them; any other buffer is copied once, whole, so none is aliased."""
+    if not isinstance(raw, bytes):
+        raw = bytes(raw)
     if len(raw) < 8:
         raise TruncatedFile(f"file is {len(raw)} bytes, need at least 8")
     (header_len,) = struct.unpack("<Q", raw[:8])
@@ -189,9 +197,8 @@ def read_container(raw: bytes) -> AdapterFile:
     spans = []
     for name, entry in header.items():
         dtype, shape, start, end = _parse_entry(name, entry)
-        width = DTYPE_WIDTHS[dtype]
         count = math.prod(shape)
-        nbytes = count * width
+        nbytes = count * _DTYPES[dtype].itemsize
         if end - start != nbytes:
             raise OffsetError(
                 f"tensor {name!r}: data_offsets span {end - start} bytes "
@@ -202,9 +209,7 @@ def read_container(raw: bytes) -> AdapterFile:
                 f"tensor {name!r}: data_offsets [{start}, {end}] exceed "
                 f"the {len(buffer)}-byte buffer"
             )
-        values = np.frombuffer(
-            buffer, dtype=_NUMPY_DTYPES[dtype], count=count, offset=start
-        )
+        values = np.frombuffer(buffer, dtype=_DTYPES[dtype], count=count, offset=start)
         tensors.append(TensorRecord(name, dtype, shape, values))
         if nbytes > 0:
             spans.append((start, end, name))
@@ -218,21 +223,18 @@ def read_container(raw: bytes) -> AdapterFile:
     return AdapterFile(tensors=tuple(tensors), metadata=metadata)
 
 
-def write_container(file: AdapterFile) -> bytes:
-    """Serialize an AdapterFile: its ``container_header``, then each
-    tensor's payload in sorted-name order, in its own dtype, so narrow
-    tensors (e.g. the binary32 half of a sparse spectral file) are never
-    widened.
-
-    Allocates the returned bytes and one narrowed copy of each F16/F32
-    tensor; F64 data is joined straight from the records.
-    """
+def container_chunks(file: AdapterFile):
+    """An AdapterFile's ``container_header``, then each tensor's own data in
+    sorted-name order: the file as a stream, never held whole."""
     tensors = sorted(file.tensors, key=lambda t: t.name)
-    header = container_header(
-        [(t.name, t.dtype, t.shape) for t in tensors], file.metadata
-    )
-    payloads = [t.data.astype(_NUMPY_DTYPES[t.dtype], copy=False) for t in tensors]
-    return b"".join([header, *payloads])
+    yield container_header([(t.name, t.dtype, t.shape) for t in tensors], file.metadata)
+    for t in tensors:
+        yield t.data
+
+
+def write_container(file: AdapterFile) -> bytes:
+    """The joined ``container_chunks``; nothing else is allocated."""
+    return b"".join(container_chunks(file))
 
 
 def container_header(
@@ -253,7 +255,7 @@ def container_header(
     header: dict[str, object] = {}
     offset = 0
     for name, dtype, shape in sorted(tensors, key=lambda t: t[0]):
-        nbytes = math.prod(shape) * DTYPE_WIDTHS[dtype]
+        nbytes = math.prod(shape) * _DTYPES[dtype].itemsize
         header[name] = {
             "dtype": dtype,
             "shape": [int(s) for s in shape],
@@ -354,7 +356,7 @@ def _parse_entry(name: str, entry) -> tuple[str, tuple[int, ...], int, int]:
         offsets = entry["data_offsets"]
     except KeyError as exc:
         raise MalformedHeader(f"tensor {name!r}: missing header key {exc}") from exc
-    if not isinstance(dtype, str) or dtype not in DTYPE_WIDTHS:
+    if not isinstance(dtype, str) or dtype not in _DTYPES:
         raise MalformedHeader(f"unknown dtype {dtype!r} for tensor {name!r}")
     if not isinstance(shape, list) or not all(
         isinstance(s, int) and not isinstance(s, bool) for s in shape

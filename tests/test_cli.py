@@ -279,6 +279,31 @@ class TestMask:
             assert main(["mask", str(src), "--k", bad,
                          "--out", str(tmp_path / "o.st")]) == 1
 
+    def test_sparse_write_allocates_little_beyond_the_spectra(self, tmp_path, monkeypatch):
+        """From the spectra to the file, only the binary64 copy of each index
+        list is made (8 of the file's 12 bytes per coefficient); the file is
+        never joined in memory."""
+        src = synth(tmp_path, kind="gaussian_iid", m=512, n=512, r=4, count=4,
+                    **{"noise-level": 0.0})
+        out = tmp_path / "s.st"
+        held = []
+        pack = codec.pack_sparse_file
+
+        def traced_pack(spectra):
+            held.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+            return pack(spectra)
+
+        monkeypatch.setattr(codec, "pack_sparse_file", traced_pack)
+        argv = ["mask", str(src), "--k", "10", "--out", str(out), "--threads", "1"]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - held[0] <= 0.8 * out.stat().st_size
+
 
 class TestMaskOfTheWholeSpectrum:
     """mask selects from row blocks of the factor product; its sparse file
@@ -370,6 +395,30 @@ class TestDecompress:
             write_container(AdapterFile(tensors=tuple(tensors), metadata=packed.metadata))
         )
         assert main(["decompress", str(bad), "--out", str(tmp_path / "o.st")]) == 5
+
+    @pytest.mark.parametrize(
+        "suffix, dtype, want",
+        [(".spectral_values", "F16", "F32"), (".spectral_values", "F64", "F32"),
+         (".spectral_indices", "F32", "F64")],
+    )
+    def test_wrong_dtype_tag_exits_5(self, tmp_path, capsys, suffix, dtype, want):
+        """Values are F32 and indices F64; any other tag is corrupt, even
+        when the retagged tensor holds the same numbers."""
+        src = synth(tmp_path, m=16, n=16, count=1)
+        sparse = tmp_path / "s.st"
+        assert main(["mask", str(src), "--k", "10", "--out", str(sparse)]) == 0
+        packed = read_container(sparse.read_bytes())
+        tensors = [
+            TensorRecord(t.name, dtype, t.shape, t.data) if t.name.endswith(suffix) else t
+            for t in packed.tensors
+        ]
+        bad = tmp_path / "bad.st"
+        bad.write_bytes(write_container(AdapterFile(tuple(tensors), packed.metadata)))
+        capsys.readouterr()
+        out = tmp_path / "o.st"
+        assert main(["decompress", str(bad), "--out", str(out)]) == 5
+        assert f"must be 1xc {want}, is (1, 26) {dtype}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_shape_beyond_u32_index_range_exits_5(self, tmp_path, capsys):
         # Decoding would allocate 8 TiB for this shape before any index check.

@@ -50,11 +50,12 @@ def sparse(indices, values, shape=(2, 2), k=50.0, name="s") -> SparseSpectrum:
 
 def tampered(f: AdapterFile, suffix: str, pos: int, value: float, dtype=None):
     """f with entry pos of its `suffix` tensor set to value, read back from
-    bytes; dtype re-tags that tensor, so F64 can carry values F32 cannot."""
+    bytes; dtype re-tags that tensor, so F64 can carry values F32 cannot.
+    The data is widened first, as records hold it in their tag's dtype."""
     tensors = []
     for t in f.tensors:
         if t.name.endswith(suffix):
-            data = t.data.copy()
+            data = t.data.astype(np.float64)
             data[pos] = value
             t = TensorRecord(t.name, dtype or t.dtype, t.shape, data)
         tensors.append(t)
@@ -147,6 +148,19 @@ class TestPackUnpack:
         s = sparse(np.arange(count) * 10, np.ones(count), shape=(512, 512), k=10.0)
         _, peak = peak_alloc(pack_sparse_file, [s])
         assert peak <= 2.1 * 8 * count
+
+    def test_unpacked_spectra_hold_no_view_of_the_file(self, peak_alloc):
+        """Each spectrum owns one copy of each half, made straight from the
+        file's dtypes, so the file's bytes can be freed."""
+        count = 26_214
+        s = sparse(np.arange(count) * 10, np.ones(count), shape=(512, 512), k=10.0)
+        raw = write_container(pack_sparse_file([s]))
+        (back,), peak = peak_alloc(lambda r: unpack_sparse_file(read_container(r)), raw)
+        assert back == s
+        whole = np.frombuffer(raw, dtype=np.uint8)
+        assert not np.shares_memory(back.flat_indices, whole)
+        assert not np.shares_memory(back.values, whole)
+        assert peak <= 1.25 * len(raw)
 
     def test_structure_single_spectrum(self):
         s = sparse([0, 2, 3], [1.0, 2.0, 3.0], shape=(2, 2), name="t")

@@ -156,14 +156,16 @@ class TestReadContainer:
             read_container(raw)
 
     def test_f16_upconverts(self):
-        payload = np.array([1.5, -0.25], dtype="<f2").tobytes()
+        payload = np.array([1.5, -0.25, 65504.0, 2.0**-24], dtype="<f2").tobytes()
         raw = build_file(
-            {"t": {"dtype": "F16", "shape": [2], "data_offsets": [0, 4]}},
+            {"t": {"dtype": "F16", "shape": [2, 2], "data_offsets": [0, 8]}},
             payload,
         )
         t = read_container(raw).tensor("t")
-        assert t.data.dtype == np.float64
-        np.testing.assert_array_equal(t.data, [1.5, -0.25])
+        assert t.data.dtype == np.float16
+        m = t.as_matrix().array
+        assert m.dtype == np.float64
+        np.testing.assert_array_equal(m, [[1.5, -0.25], [65504.0, 2.0**-24]])
 
     def test_f64_is_bit_exact(self):
         raw = build_file(
@@ -535,6 +537,15 @@ class TestCopies:
         raw = write_container(self.three_tensors())
         out, peak = peak_alloc(read_container, raw)
         assert peak <= 1.1 * sum(t.data.nbytes for t in out.tensors)
+
+    def test_read_of_bytes_copies_no_payload(self, peak_alloc):
+        raw = write_container(self.three_tensors())
+        out, peak = peak_alloc(read_container, raw)
+        payload = (8 + 8 + 4) * 512 * 512  # two F64 tensors and one F32
+        assert peak <= 0.05 * payload
+        whole = np.frombuffer(raw, dtype=np.uint8)
+        for t in out.tensors:
+            assert np.shares_memory(t.data, whole) and not t.data.flags.writeable
 
     def test_records_do_not_alias_a_bytearray(self):
         raw = write_container(self.three_tensors(n=4))
