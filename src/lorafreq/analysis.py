@@ -56,10 +56,6 @@ class EnergyCurve:
     def is_zero(self) -> bool:
         return self.total_energy == 0.0
 
-    @property
-    def coefficient_count(self) -> int:
-        return int(self.sorted_energies.size)
-
 
 @dataclass(frozen=True)
 class SpectralSummary:

@@ -29,17 +29,7 @@ from . import codec, report
 from .analysis import _factored_energies, _factored_selection, _sweep_points
 from .container import container_chunks, container_header, read_container
 from .dct import scatter_idct2
-from .errors import (
-    ContainerError,
-    CorruptSparse,
-    DegenerateInput,
-    InvalidSpec,
-    LorafreqError,
-    NoConvergence,
-    NotSpectralFile,
-    ShapeMismatch,
-    ZeroSpectrum,
-)
+from .errors import LorafreqError
 from .fixtures import KINDS, FixtureSpec, generate_set, ramp_specs, repeat_specs
 
 _MAX_SEED = 2**64 - 1
@@ -49,21 +39,9 @@ _UMASK = os.umask(0o022)
 os.umask(_UMASK)
 
 
-class _NoPairsError(Exception):
-    pass
+class _NoPairsError(LorafreqError):
+    exit_code = 3
 
-
-_EXIT_BY_TYPE = (
-    (InvalidSpec, 1),
-    (_NoPairsError, 3),
-    (ZeroSpectrum, 4),
-    (NotSpectralFile, 5),
-    (CorruptSparse, 5),
-    (DegenerateInput, 6),
-    (NoConvergence, 6),
-    (ContainerError, 2),
-    (ShapeMismatch, 2),
-)
 
 _scale_option = click.option(
     "--scale",
@@ -307,12 +285,9 @@ def main(argv=None) -> int:
     except click.exceptions.Abort:
         click.echo("aborted", err=True)
         return 1
-    except (LorafreqError, _NoPairsError) as exc:
-        for kind, code in _EXIT_BY_TYPE:
-            if isinstance(exc, kind):
-                click.echo(f"error: {exc}", err=True)
-                return code
-        raise
+    except LorafreqError as exc:
+        click.echo(f"error: {exc}", err=True)
+        return exc.exit_code
     return 0
 
 

@@ -163,14 +163,12 @@ def pack_sparse_file(spectra: list[SparseSpectrum]) -> AdapterFile:
 def unpack_sparse_file(file: AdapterFile) -> list[SparseSpectrum]:
     """Inverse of pack_sparse_file; each spectrum owns its arrays, one copy
     each, so none holds a view of the file's bytes."""
-    fmt = file.metadata.get("format")
-    if fmt is None:
-        raise NotSpectralFile("missing 'format' metadata key")
-    if fmt != FORMAT_TAG:
-        raise NotSpectralFile(f"unsupported format {fmt!r}")
-    transform = file.metadata.get("transform", TRANSFORM_TAG)
-    if transform != TRANSFORM_TAG:
-        raise NotSpectralFile(f"unsupported transform {transform!r}")
+    for key, tag in (("format", FORMAT_TAG), ("transform", TRANSFORM_TAG)):
+        value = file.metadata.get(key)
+        if value is None:
+            raise NotSpectralFile(f"missing {key!r} metadata key")
+        if value != tag:
+            raise NotSpectralFile(f"unsupported {key} {value!r}")
     try:
         k_percent = float(file.metadata["k_percent"])
     except (KeyError, ValueError) as exc:

@@ -63,18 +63,15 @@ def dct2_factored(b: Matrix, a: Matrix, scale: float) -> Spectrum:
 def _factored_product(b: Matrix, a: Matrix, scale: float) -> np.ndarray:
     """scale * (C_m b)(a C_n^T) as a new writable C-contiguous array.
 
-    The product is taken in the row blocks ``_factored_rows`` yields, so the
-    two give the same bits: a BLAS may round a product differently with its
-    shape (OpenBLAS 0.3.31 rounds a 700 x 333 rank-8 product unlike any
-    split of it into row blocks). Its entries are not checked: a caller that
-    keeps this buffer instead of a Matrix checks that the total energy it
-    sums is finite.
+    The buffer is filled by draining ``_factored_rows``, looked up at call
+    time, so every command reads the product's bits from that one loop. Its
+    entries are not checked: a caller that keeps this buffer instead of a
+    Matrix checks that the total energy it sums is finite.
     """
-    left, right = _factor_dcts(b, a)
-    coeffs = np.empty((left.shape[0], right.shape[1]))
-    for start, stop in _row_spans(*coeffs.shape, right.shape[0]):
-        np.matmul(left[start:stop], right, out=coeffs[start:stop])
-    coeffs *= float(scale)
+    blocks = _factored_rows(b, a, scale)  # DCT scratch freed before coeffs
+    coeffs = np.empty((b.shape[0], a.shape[1]))
+    for _ in blocks(coeffs):
+        pass
     return coeffs
 
 
@@ -103,15 +100,22 @@ def _row_spans(m: int, n: int, r: int = 1) -> list[tuple[int, int]]:
 
 
 def _factored_rows(b: Matrix, a: Matrix, scale: float):
-    """A function whose every call yields ``_factored_product(b, a, scale)``
-    as flat row blocks, in order, each a new writable array, with the same
-    bits; the whole product is never held, and the factor DCTs are taken
-    once."""
+    """A function whose every call yields scale * (C_m b)(a C_n^T) as flat
+    row blocks, in order, with the same bits; the factor DCTs are taken once.
+
+    Each ``_row_spans`` block is one gemm, written into its rows of a
+    C-contiguous m x n ``out`` when one is given and into a new writable
+    array otherwise, then scaled where it lies; without ``out`` the whole
+    product is never held. A BLAS may round a product differently with its
+    shape (OpenBLAS 0.3.31 rounds a 700 x 333 rank-8 product unlike any
+    split of it into row blocks), so this is the only place it is formed.
+    """
     left, right = _factor_dcts(b, a)
 
-    def blocks():
+    def blocks(out: np.ndarray | None = None):
         for start, stop in _row_spans(left.shape[0], right.shape[1], right.shape[0]):
-            block = left[start:stop] @ right
+            rows = None if out is None else out[start:stop]
+            block = np.matmul(left[start:stop], right, out=rows)
             block *= float(scale)
             yield block.reshape(-1)
 

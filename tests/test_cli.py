@@ -21,9 +21,9 @@ import lorafreq
 import lorafreq.analysis
 import lorafreq.container
 import lorafreq.dct
-from lorafreq import codec, report
+from lorafreq import codec, errors, report
 from lorafreq.analysis import _factored_selection, reconstruct, topk_mask
-from lorafreq.cli import _csv_text, _write_chunks, main
+from lorafreq.cli import _NoPairsError, _csv_text, _write_chunks, main
 from lorafreq.container import (
     AdapterFile,
     TensorRecord,
@@ -501,9 +501,10 @@ class TestStreamedDense:
     def test_one_inverse_alive_at_a_time(self, tmp_path):
         """With one thread, decompress holds one dense matrix, not all eight.
 
-        The reader's copies of the sparse input grow with k: they alone
-        reach 2.97 x 8mn at k = 10, before any inverse runs. At k = 5 they
-        peak near 1.4 x 8mn, and a second dense buffer would break the
+        The read phase grows with k: the sparse file's raw bytes plus
+        unpack_sparse_file's int64 and float32 copies set the whole run's
+        peak at k = 10, 2.54 x 8mn, before any inverse runs. At k = 5 the
+        peak is 1.85 x 8mn, and a second dense buffer would break the
         bound."""
         src = synth(tmp_path, kind="gaussian_iid", m=256, n=256, r=4, count=8,
                     **{"noise-level": 0.0})
@@ -750,6 +751,8 @@ class TestHostileScale:
     # No command checks the product entry by entry as a Matrix would:
     # analyze, sweep and correlate test its energy's total, and mask's
     # histogram of |F| counts the non-finite entries of its row blocks.
+    # Every command reads the product from dct._factored_rows, so patching
+    # that one function reaches all five.
     @pytest.mark.parametrize(
         "argv",
         [["analyze"], ["sweep", "--k-list", "10"], ["correlate"],
@@ -759,25 +762,18 @@ class TestHostileScale:
     )
     def test_non_finite_product_exits_2(self, tmp_path, capsys, monkeypatch, argv):
         src = synth(tmp_path)
-        product = lorafreq.dct._factored_product
         rows = lorafreq.dct._factored_rows
-
-        def with_inf(b, a, scale):
-            coeffs = product(b, a, scale)
-            coeffs[-1, 0] = np.inf
-            return coeffs
 
         def rows_with_inf(b, a, scale):
             blocks = rows(b, a, scale)
 
-            def blocks_with_inf():
-                for block in blocks():
+            def blocks_with_inf(out=None):
+                for block in blocks(out):
                     block[-1] = np.inf
                     yield block
 
             return blocks_with_inf
 
-        monkeypatch.setattr(lorafreq.dct, "_factored_product", with_inf)
         monkeypatch.setattr(lorafreq.dct, "_factored_rows", rows_with_inf)
         out = tmp_path / "out"
         code, err = self.run(capsys, [argv[0], str(src), *argv[1:], "--out", str(out)])
@@ -929,6 +925,33 @@ def test_commands_take_the_spectrum_from_the_factors(tmp_path, monkeypatch):
         ["correlate", str(src)],
     ):
         assert main([*argv, "--out", str(tmp_path / argv[0])]) == 0, argv[0]
+
+
+def test_exit_codes_follow_the_readme_table():
+    """Every LorafreqError class carries the exit code of the README row
+    that names its failure."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = text.split("### Exit codes\n\n")[1].split("\n\n")[0].splitlines()[2:]
+    meaning = {int(row.split("|")[1]): row.split("|")[2] for row in table}
+    row_words = {
+        errors.InvalidSpec: "invalid fixture spec",
+        errors.ContainerError: "malformed container",
+        errors.ShapeMismatch: "malformed container",
+        _NoPairsError: "pairs found",
+        errors.ZeroSpectrum: "every update matrix is zero",
+        errors.NotSpectralFile: "not a sparse spectral file",
+        errors.CorruptSparse: "corrupt",
+        errors.DegenerateInput: "degenerate statistics",
+        errors.NoConvergence: "does not converge",
+    }
+    classes, stack = [], [errors.LorafreqError]
+    while stack:
+        subclasses = stack.pop().__subclasses__()
+        classes += subclasses
+        stack += subclasses
+    for cls in classes:
+        words = next(row_words[c] for c in cls.__mro__ if c in row_words)
+        assert words in meaning[cls.exit_code], cls.__name__
 
 
 class TestWriteBytes:

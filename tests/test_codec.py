@@ -210,6 +210,13 @@ class TestPackUnpack:
         with pytest.raises(NotSpectralFile):
             unpack_sparse_file(AdapterFile(tensors=f.tensors, metadata=meta))
 
+    def test_missing_transform(self):
+        f = pack_sparse_file(self.make_spectra(1))
+        meta = dict(f.metadata)
+        del meta["transform"]
+        with pytest.raises(NotSpectralFile, match="transform"):
+            unpack_sparse_file(AdapterFile(tensors=f.tensors, metadata=meta))
+
     @pytest.mark.parametrize("bad", ["nan", "inf", "-5", "1e9"])
     def test_k_percent_outside_domain(self, bad):
         f = pack_sparse_file(self.make_spectra(1))
