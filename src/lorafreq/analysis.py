@@ -64,8 +64,6 @@ class SpectralSummary:
     k90_percent: float
     coeff_count_90: int
     total_energy: float
-    layer_index: int | None = None
-    module_kind: str = ""
 
 
 @dataclass(frozen=True)
@@ -85,29 +83,6 @@ class SweepPoint:
     relative_error: float
     retained_energy_fraction: float
     k_count: int
-
-
-@dataclass(frozen=True)
-class HeatmapCell:
-    layer: str  # decimal layer index, or "unindexed"
-    module_kind: str
-    mean_k90: float
-    count: int
-
-
-@dataclass(frozen=True)
-class HeatmapTable:
-    """Dense (layer, module_kind) grid; cells holds only the present entries."""
-
-    layers: tuple[str, ...]
-    module_kinds: tuple[str, ...]
-    cells: tuple[HeatmapCell, ...]
-
-    def cell(self, layer: str, module_kind: str) -> HeatmapCell | None:
-        for c in self.cells:
-            if c.layer == layer and c.module_kind == module_kind:
-                return c
-        return None
 
 
 def energy_curve(f: Spectrum) -> EnergyCurve:
@@ -366,32 +341,3 @@ def _sweep_points(energies: np.ndarray, k_values: list[float]) -> list[SweepPoin
 def dct_k90(delta: Matrix, target_fraction: float = 0.9) -> SpectralSummary:
     """k90 of a merged update: dct2 -> energy curve -> threshold count."""
     return k_for_energy(energy_curve(dct2(delta)), target_fraction)
-
-
-def layer_heatmap(summaries: list[SpectralSummary]) -> HeatmapTable:
-    """Group k90 values by (layer, module kind); duplicates are averaged."""
-    buckets: dict[tuple[str, str], list[float]] = {}
-    for s in summaries:
-        layer = "unindexed" if s.layer_index is None else str(s.layer_index)
-        buckets.setdefault((layer, s.module_kind), []).append(s.k90_percent)
-
-    layer_labels = {layer for layer, _ in buckets}
-    indexed = sorted((lb for lb in layer_labels if lb != "unindexed"), key=int)
-    layers = tuple(indexed) + (("unindexed",) if "unindexed" in layer_labels else ())
-    kinds = tuple(sorted({kind for _, kind in buckets}))
-
-    cells = []
-    for layer in layers:
-        for kind in kinds:
-            values = buckets.get((layer, kind))
-            if values is None:
-                continue
-            cells.append(
-                HeatmapCell(
-                    layer=layer,
-                    module_kind=kind,
-                    mean_k90=sum(values) / len(values),
-                    count=len(values),
-                )
-            )
-    return HeatmapTable(layers=layers, module_kinds=kinds, cells=tuple(cells))

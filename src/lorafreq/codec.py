@@ -4,8 +4,9 @@ A masked spectrum is stored as two tensors inside the standard container:
 "<name>.spectral_indices", a 1 x c F64 tensor of exact integers (lossless
 for any index < 2^53), and "<name>.spectral_values", a 1 x c F32 tensor;
 any other dtype tag is CorruptSparse. File metadata marks the layout: format
-"spectral-sparse-v1", transform "dct2-ortho-v1", the uniform k_percent, and
-one "shape.<name>" entry per spectrum.
+"spectral-sparse-v1", transform "dct2-ortho-v1" (the only one, so a
+SparseSpectrum does not carry it), the uniform k_percent, and one
+"shape.<name>" entry per spectrum.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ class SparseSpectrum:
     flat_indices: np.ndarray  # int64 holding u32-range values
     values: np.ndarray  # float32
     k_percent: float
-    transform: str = TRANSFORM_TAG
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseSpectrum):
@@ -58,7 +58,6 @@ class SparseSpectrum:
             and np.array_equal(self.flat_indices, other.flat_indices)
             and np.array_equal(self.values, other.values)
             and self.k_percent == other.k_percent
-            and self.transform == other.transform
         )
 
 
@@ -177,7 +176,6 @@ def unpack_sparse_file(file: AdapterFile) -> list[SparseSpectrum]:
         raise CorruptSparse(f"k_percent metadata {k_percent} is outside (0, 100]")
 
     by_base: dict[str, dict[str, TensorRecord]] = {}
-    order: list[str] = []
     for t in file.tensors:
         if t.name.endswith(_INDICES_SUFFIX):
             base, part = t.name[: -len(_INDICES_SUFFIX)], "indices"
@@ -185,13 +183,10 @@ def unpack_sparse_file(file: AdapterFile) -> list[SparseSpectrum]:
             base, part = t.name[: -len(_VALUES_SUFFIX)], "values"
         else:
             raise CorruptSparse(f"unexpected tensor {t.name!r} in sparse file")
-        if base not in by_base:
-            order.append(base)
         by_base.setdefault(base, {})[part] = t
 
     spectra = []
-    for base in order:
-        parts = by_base[base]
+    for base, parts in by_base.items():
         if set(parts) != {"indices", "values"}:
             raise CorruptSparse(f"spectrum {base!r} is missing a tensor half")
         shape = _parse_shape(file.metadata, base)

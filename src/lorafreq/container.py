@@ -276,18 +276,16 @@ def pair_lora(file: AdapterFile) -> PairingResult:
 
     Tensors are matched by the name prefix preceding the lora_A/lora_B
     segment. Missing partners become orphan reports rather than errors;
-    incompatible shapes within a matched pair raise ShapeMismatch.
+    incompatible shapes within a matched pair raise ShapeMismatch. Pairs,
+    and orphans without a partner, follow each prefix's first tensor.
     """
     groups: dict[str, dict[str, TensorRecord]] = {}
-    order: list[str] = []
     orphans: list[OrphanFactor] = []
     for t in file.tensors:
         role, prefix = _classify(t.name)
         if role is None:
             continue
         slot = groups.setdefault(prefix, {})
-        if prefix not in order:
-            order.append(prefix)
         if role in slot:
             orphans.append(OrphanFactor(prefix=prefix, role=role, tensor_name=t.name))
         else:
@@ -295,8 +293,7 @@ def pair_lora(file: AdapterFile) -> PairingResult:
 
     scale = _scale_from_metadata(file.metadata)
     pairs: list[LoraPair] = []
-    for prefix in order:
-        slot = groups[prefix]
+    for prefix, slot in groups.items():
         if "A" in slot and "B" in slot:
             pairs.append(
                 LoraPair(

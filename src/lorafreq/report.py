@@ -22,14 +22,7 @@ from itertools import islice
 
 import numpy as np
 
-from .analysis import (
-    EnergyCurve,
-    SpectralSummary,
-    _accumulate,
-    _factored_energies,
-    _summary,
-    layer_heatmap,
-)
+from .analysis import EnergyCurve, _accumulate, _factored_energies, _summary
 from .container import AdapterFile, LoraPair, pair_lora
 from .errors import DegenerateInput, ZeroSpectrum
 from .stats import _factored_svd_k90, svd_dct_correlate
@@ -70,14 +63,16 @@ def map_matrices(fn, items, threads: int | None, bounded: bool = False):
     The zero-update rule of every command: an item for which fn raises
     ZeroSpectrum is skipped with a warning naming its prefix (the inverse
     transforms never raise it), and ZeroSpectrum is raised when no item is
-    left.
+    left. Any other error, or a consumer that stops early, cancels every
+    item not yet started; the pool still waits for the running ones.
     """
     affinity = getattr(os, "sched_getaffinity", None)  # absent on macOS and Windows
     workers = threads or (len(affinity(0)) if affinity else os.cpu_count() or 1)
     todo = iter(items)
     window = deque()
     live = False
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
         while True:
             for item in islice(todo, workers - len(window) if bounded else None):
                 window.append((item, pool.submit(fn, item)))
@@ -94,6 +89,8 @@ def map_matrices(fn, items, threads: int | None, bounded: bool = False):
             live = True
             yield result
             del result
+    finally:
+        pool.shutdown(cancel_futures=True)
     if not live:
         raise ZeroSpectrum("every update matrix in the input is zero")
 
@@ -132,7 +129,12 @@ def analysis_report(
     rows_and_curves: list[tuple[dict, object]],
     scale_applied: float,
 ) -> dict:
-    """The analysis report; only the row of each (row, curve) pair is read."""
+    """The analysis report; only the row of each (row, curve) pair is read.
+
+    The heatmap groups the non-zero rows' k90 by the layer and module kind
+    of each row's pair: one cell per group, its mean and count, in numeric
+    layer order with "unindexed" last, then by kind.
+    """
     rows = [row for row, _ in rows_and_curves]
     live = [row["k90_percent"] for row in rows if not row["zero_flag"]]
     aggregate = {
@@ -141,30 +143,29 @@ def analysis_report(
         "max": max(live) if live else None,
         "matrix_count": len(rows),
     }
-    summaries = [
-        SpectralSummary(
-            k90_percent=row["k90_percent"],
-            coeff_count_90=row["coeff_count_90"],
-            total_energy=row["total_energy"],
-            layer_index=pair.layer_index,
-            module_kind=pair.module_kind,
-        )
-        for row, pair in zip(rows, pairs)
-        if not row["zero_flag"]
+    groups: dict[tuple[int | None, str], list[float]] = {}
+    for row, pair in zip(rows, pairs):
+        if not row["zero_flag"]:
+            key = (pair.layer_index, pair.module_kind)
+            groups.setdefault(key, []).append(row["k90_percent"])
+
+    def position(group):
+        (index, kind), _ = group
+        return index is None, index or 0, kind
+
+    cells = [
+        {
+            "layer": "unindexed" if index is None else str(index),
+            "module_kind": kind,
+            "mean_k90": sum(values) / len(values),
+            "count": len(values),
+        }
+        for (index, kind), values in sorted(groups.items(), key=position)
     ]
-    table = layer_heatmap(summaries)
     heatmap = {
-        "layers": list(table.layers),
-        "module_kinds": list(table.module_kinds),
-        "cells": [
-            {
-                "layer": c.layer,
-                "module_kind": c.module_kind,
-                "mean_k90": c.mean_k90,
-                "count": c.count,
-            }
-            for c in table.cells
-        ],
+        "layers": list(dict.fromkeys(cell["layer"] for cell in cells)),
+        "module_kinds": sorted({cell["module_kind"] for cell in cells}),
+        "cells": cells,
     }
     return {
         "tool_version": TOOL_VERSION,

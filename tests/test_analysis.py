@@ -11,23 +11,22 @@ from scipy import fft
 from lorafreq import dct
 from lorafreq.analysis import (
     MaskResult,
-    SpectralSummary,
     SweepPoint,
     dct_k90,
     energy_curve,
     k_for_energy,
-    layer_heatmap,
     mask_count,
     reconstruct,
     sweep,
     _select,
     topk_mask,
 )
-from lorafreq.container import merge_delta, pair_lora
+from lorafreq.container import LoraPair, merge_delta, pair_lora
 from lorafreq.dct import Spectrum, dct2
 from lorafreq.errors import ContainerError, ShapeMismatch, ZeroSpectrum
 from lorafreq.fixtures import FixtureSpec, generate
 from lorafreq.linalg import Matrix
+from lorafreq.report import analysis_report
 
 
 def spectrum_of(values) -> Spectrum:
@@ -550,48 +549,61 @@ class TestSweep:
 
 
 class TestLayerHeatmap:
-    def summary(self, k90, layer, kind):
-        return SpectralSummary(
-            k90_percent=k90,
-            coeff_count_90=1,
-            total_energy=1.0,
-            layer_index=layer,
-            module_kind=kind,
+    """The heatmap analysis_report builds from its rows and their pairs."""
+
+    def heatmap(self, entries):
+        """The heatmap of (k90, layer index, module kind) rows; a k90 of
+        None is a zero update."""
+        one = Matrix([[1.0]])
+        pairs = tuple(
+            LoraPair(f"p{i}", one, one, layer, kind, 1.0)
+            for i, (_, layer, kind) in enumerate(entries)
         )
+        rows = [
+            ({"k90_percent": k90, "zero_flag": k90 is None}, [])
+            for k90, _, _ in entries
+        ]
+        return analysis_report("in.st", pairs, rows, 1.0)["heatmap"]
+
+    def cell(self, heatmap, layer, kind):
+        found = [
+            c for c in heatmap["cells"]
+            if (c["layer"], c["module_kind"]) == (layer, kind)
+        ]
+        assert len(found) <= 1
+        return found[0] if found else None
 
     def test_two_layers_two_rows(self):
-        table = layer_heatmap(
-            [self.summary(38.8, 0, "query"), self.summary(26.6, 11, "query")]
-        )
-        assert table.layers == ("0", "11")
-        assert table.module_kinds == ("query",)
-        assert table.cell("0", "query").mean_k90 == 38.8
-        assert table.cell("11", "query").mean_k90 == 26.6
+        heatmap = self.heatmap([(38.8, 0, "query"), (26.6, 11, "query")])
+        assert heatmap["layers"] == ["0", "11"]
+        assert heatmap["module_kinds"] == ["query"]
+        assert self.cell(heatmap, "0", "query")["mean_k90"] == 38.8
+        assert self.cell(heatmap, "11", "query")["mean_k90"] == 26.6
 
     def test_duplicates_averaged_with_count(self):
-        table = layer_heatmap(
-            [self.summary(30.0, 2, "value"), self.summary(40.0, 2, "value")]
-        )
-        cell = table.cell("2", "value")
-        assert cell.mean_k90 == 35.0
-        assert cell.count == 2
+        heatmap = self.heatmap([(30.0, 2, "value"), (40.0, 2, "value")])
+        cell = self.cell(heatmap, "2", "value")
+        assert cell["mean_k90"] == 35.0
+        assert cell["count"] == 2
 
     def test_unindexed_row_last(self):
-        table = layer_heatmap(
-            [self.summary(10.0, None, "query"), self.summary(20.0, 3, "query")]
-        )
-        assert table.layers == ("3", "unindexed")
+        heatmap = self.heatmap([(10.0, None, "query"), (20.0, 3, "query")])
+        assert heatmap["layers"] == ["3", "unindexed"]
 
     def test_missing_cells_absent(self):
-        table = layer_heatmap(
-            [self.summary(10.0, 0, "query"), self.summary(20.0, 1, "value")]
-        )
-        assert table.cell("0", "value") is None
-        assert table.cell("1", "query") is None
-        assert len(table.cells) == 2
+        heatmap = self.heatmap([(10.0, 0, "query"), (20.0, 1, "value")])
+        assert self.cell(heatmap, "0", "value") is None
+        assert self.cell(heatmap, "1", "query") is None
+        assert len(heatmap["cells"]) == 2
 
     def test_numeric_layer_sort(self):
-        table = layer_heatmap(
-            [self.summary(1.0, layer, "query") for layer in (10, 2, 1)]
-        )
-        assert table.layers == ("1", "2", "10")
+        heatmap = self.heatmap([(1.0, layer, "query") for layer in (10, 2, 1)])
+        assert heatmap["layers"] == ["1", "2", "10"]
+
+    def test_zero_updates_leave_no_cell(self):
+        heatmap = self.heatmap([(None, 0, "query"), (5.0, 1, "value")])
+        assert heatmap["layers"] == ["1"]
+        assert heatmap["module_kinds"] == ["value"]
+        assert heatmap["cells"] == [
+            {"layer": "1", "module_kind": "value", "mean_k90": 5.0, "count": 1}
+        ]

@@ -8,6 +8,7 @@ import struct
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
@@ -22,7 +23,13 @@ import lorafreq.analysis
 import lorafreq.container
 import lorafreq.dct
 from lorafreq import codec, errors, report
-from lorafreq.analysis import _factored_selection, reconstruct, topk_mask
+from lorafreq.analysis import (
+    _factored_selection,
+    energy_curve,
+    k_for_energy,
+    reconstruct,
+    topk_mask,
+)
 from lorafreq.cli import _NoPairsError, _csv_text, _write_chunks, main
 from lorafreq.container import (
     AdapterFile,
@@ -201,6 +208,29 @@ class TestAnalyze:
         k1 = [r["k90_percent"] for r in d1["per_matrix"]]
         k2 = [r["k90_percent"] for r in d2["per_matrix"]]
         assert k1 == k2
+
+    def test_energy_target_sets_each_count(self, tmp_path):
+        src = synth(tmp_path, count=3)
+        out = tmp_path / "rep"
+        argv = ["analyze", str(src), "--out", str(out), "--energy-target", "0.5"]
+        assert main(argv) == 0
+        rows = json.loads((out / "report.json").read_text())["per_matrix"]
+        pairs = pair_lora(read_container(src.read_bytes())).pairs
+        assert len(rows) == len(pairs) == 3
+        for row, pair in zip(rows, pairs):
+            curve = energy_curve(dct2_factored(pair.b_matrix, pair.a_matrix, pair.scale))
+            want = k_for_energy(curve, 0.5).coeff_count_90
+            assert row["coeff_count_90"] == want
+            assert want < k_for_energy(curve, 0.9).coeff_count_90
+
+    def test_default_energy_target_is_0_9(self, tmp_path):
+        src = synth(tmp_path, count=3)
+        outputs = []
+        for tag, extra in (("default", []), ("target", ["--energy-target", "0.9"])):
+            out = tmp_path / tag
+            assert main(["analyze", str(src), "--out", str(out), *extra]) == 0
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert outputs[0] == outputs[1]
 
 
 
@@ -818,6 +848,20 @@ def test_cli_import_loads_no_scipy_stats_or_mpmath():
     assert done.stdout.strip() == "[]"
 
 
+def test_export_list():
+    """Every name in __all__ resolves, each listed once; the heatmap names
+    are not exported, since analysis_report builds the heatmap itself."""
+    namespace = {}
+    exec("from lorafreq import *", namespace)
+    assert len(set(lorafreq.__all__)) == len(lorafreq.__all__)
+    for name in lorafreq.__all__:
+        assert namespace[name] is getattr(lorafreq, name)
+    for gone in ("layer_heatmap", "HeatmapTable", "HeatmapCell"):
+        assert gone not in namespace
+        assert not hasattr(lorafreq, gone)
+        assert not hasattr(lorafreq.analysis, gone)
+
+
 _LOADED_SCIPY = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
 
 
@@ -1109,6 +1153,35 @@ class TestDeterminism:
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
         assert list(report.map_matrices(lambda x: 2 * x, [1, 2, 3], None)) == [2, 4, 6]
         assert pool_sizes == [workers]
+
+    def test_a_failed_matrix_cancels_the_queue(self):
+        """An error other than ZeroSpectrum stops the queued matrices: only
+        those already running finish."""
+        calls = []
+
+        def fn(item):
+            calls.append(item)
+            if item == 0:
+                raise errors.ContainerError("bad matrix")
+            time.sleep(0.01)
+            return item
+
+        with pytest.raises(errors.ContainerError, match="bad matrix"):
+            list(report.map_matrices(fn, range(50), 2))
+        assert len(calls) <= 2 * 2
+
+    def test_a_consumer_that_stops_cancels_the_queue(self):
+        calls = []
+
+        def fn(item):
+            calls.append(item)
+            time.sleep(0.01)
+            return item
+
+        results = report.map_matrices(fn, range(50), 2)
+        assert next(results) == 0
+        results.close()
+        assert len(calls) <= 2 * 2
 
     def test_blas_threads_do_not_change_output(self, tmp_path):
         """Each spectrum is a BLAS product; its bytes must not follow BLAS's

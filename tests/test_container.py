@@ -420,6 +420,27 @@ class TestPairLora:
         res = pair_lora(lora_file(pairs))
         assert [p.module_kind for p in res.pairs] == ["query", "value", "key"]
 
+    def test_pairs_and_orphans_keep_first_seen_order(self):
+        def a(name):
+            return TensorRecord(name, "F64", (2, 4), np.zeros(8))
+
+        def b(name):
+            return TensorRecord(name, "F64", (4, 2), np.zeros(8))
+
+        res = pair_lora(lora_file(
+            [b("p2.lora_B"), a("p1.lora_A"), a("p2.lora_A"), b("p1.lora_B")]
+        ))
+        assert [p.prefix for p in res.pairs] == ["p2", "p1"]
+        assert res.orphans == ()
+        res = pair_lora(lora_file([
+            b("p2.lora_B"), a("o3.lora_A"), a("p1.lora_A"), a("p2.lora_A"),
+            b("o0.lora_B"), a("p2.lora_A.again"), b("p1.lora_B"),
+        ]))
+        assert [p.prefix for p in res.pairs] == ["p2", "p1"]
+        assert [o.tensor_name for o in res.orphans] == [
+            "p2.lora_A.again", "o3.lora_A", "o0.lora_B"
+        ]
+
     def test_inner_dim_mismatch(self):
         a = TensorRecord("m.lora_A", "F64", (3, 4), np.zeros(12))
         b = TensorRecord("m.lora_B", "F64", (4, 2), np.zeros(8))
