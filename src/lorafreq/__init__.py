@@ -66,7 +66,7 @@ from .fixtures import (
     repeat_specs,
 )
 from .linalg import Matrix, SvdResult, matmul, svd
-from .report import TOOL_VERSION
+from .report import _tool_version
 from .stats import (
     CorrelationResult,
     pearson,
@@ -76,7 +76,14 @@ from .stats import (
     svd_k90,
 )
 
-__version__ = TOOL_VERSION
+
+def __getattr__(name: str):
+    """TOOL_VERSION and __version__, looked up on first use (see
+    ``report._tool_version``)."""
+    if name in ("TOOL_VERSION", "__version__"):
+        return _tool_version()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AdapterFile",

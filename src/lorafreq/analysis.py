@@ -16,8 +16,9 @@ checked entry by entry as a Matrix would be; a finite total of F**2 stands
 in for that check, since it means every entry is finite.
 
 mask holds no m x n array: ``_select`` picks the top k% in three passes
-over row blocks of the spectrum, ``dct._factored_rows`` for the command and
-copied rows for ``topk_mask``. The first pass counts |F| into buckets keyed
+over flat blocks of the spectrum's rows: for the command, the ~1 MB row
+chunks of ``dct._factored_rows``, one reused scratch chunk per matrix; for
+``topk_mask``, copied row blocks. The first pass counts |F| into buckets keyed
 by the top bits of its binary64 pattern, which order non-negative floats
 and flag every non-finite entry; the second finds the cut among the
 entries of the bucket that holds the k-th largest |F|; the third gathers
@@ -201,7 +202,7 @@ def _factored_selection(
     b: Matrix, a: Matrix, scale: float, k_percent: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """topk_mask's indices and values for the spectrum of scale * (b @ a),
-    from its row blocks; no m x n array is made."""
+    from its row chunks; no m x n array is made."""
     size = b.shape[0] * a.shape[1]
     return _select(dct._factored_rows(b, a, scale), mask_count(k_percent, size))
 
@@ -219,7 +220,8 @@ def _select(blocks, k_count: int) -> tuple[np.ndarray, np.ndarray]:
     taken in flat-index order.
 
     ``blocks()`` yields the spectrum's flat row blocks in flat-index order,
-    each writable and not used again; it is called once per pass. Pass 1
+    each writable and valid only until the next is taken, since a block may
+    reuse the last one's memory; it is called once per pass. Pass 1
     counts |F| per bucket, pass 2 finds the cut (the k_count-th largest |F|)
     among the entries of its bucket alone, and pass 3 keeps every |F| above
     the cut and the first ties at it. Raises ContainerError for a

@@ -83,13 +83,22 @@ def _factor_dcts(b: Matrix, a: Matrix) -> tuple[np.ndarray, np.ndarray]:
     return left, right
 
 
-# Multiply-adds in one row block of a factored product, so a block holds at
-# most this many entries (2 MB of float64). OpenBLAS runs a gemm this small
-# on the calling thread; larger blocks wake its helper threads once per
-# block, and on 2 cores they contend with the pool's workers: blocks of
-# 2^20 multiply-adds made analyze of two 4096^2 rank-16 updates up to a
-# tenth slower.
+# Multiply-adds in one gemm of a factored product, so a gemm writes at most
+# this many entries (2 MB of float64). OpenBLAS runs a gemm this small on the
+# calling thread; larger gemms wake its helper threads once per gemm, and on
+# 2 cores they contend with the pool's workers: gemms of 2^20 multiply-adds
+# made analyze of two 4096^2 rank-16 updates up to a tenth slower.
 _BLOCK_WORK = 2**18
+
+# Entries in one chunk of whole gemm spans, the unit ``_factored_rows``
+# yields. At r = 16 a span holds 2^14 entries, and mask's selection makes
+# ~8 numpy calls per block it reads; per span, those calls held the GIL so
+# long that the two 4096^2 rank-16 updates took longer on two threads than
+# one after the other (0.61-0.79 s against 0.62-0.68 s). On two threads they
+# took 0.52-0.55 s in chunks of 2^15 entries, 0.41-0.45 s at 2^16, 0.36-0.39 s
+# at 2^17 (1 MB), 0.43-0.46 s at 2^18 and 0.49 s at 2^19, where a chunk no
+# longer stays in cache (2-vCPU Xeon VM, OPENBLAS_NUM_THREADS=1, best of 5).
+_CHUNK_ENTRIES = 2**17
 
 
 def _row_spans(m: int, n: int, r: int = 1) -> list[tuple[int, int]]:
@@ -101,23 +110,33 @@ def _row_spans(m: int, n: int, r: int = 1) -> list[tuple[int, int]]:
 
 def _factored_rows(b: Matrix, a: Matrix, scale: float):
     """A function whose every call yields scale * (C_m b)(a C_n^T) as flat
-    row blocks, in order, with the same bits; the factor DCTs are taken once.
+    row chunks, in order, with the same bits; the factor DCTs are taken once.
 
-    Each ``_row_spans`` block is one gemm, written into its rows of a
-    C-contiguous m x n ``out`` when one is given and into a new writable
-    array otherwise, then scaled where it lies; without ``out`` the whole
-    product is never held. A BLAS may round a product differently with its
-    shape (OpenBLAS 0.3.31 rounds a 700 x 333 rank-8 product unlike any
-    split of it into row blocks), so this is the only place it is formed.
+    A chunk is a run of whole ``_row_spans`` spans, about ``_CHUNK_ENTRIES``
+    entries and at least one span. Each span is one gemm, written into its
+    rows of the chunk, and the chunk is then scaled where it lies. With a
+    C-contiguous m x n ``out``, the chunks are its rows. Without one, each
+    call reuses one scratch chunk: a yielded chunk is writable until the
+    next is taken, and the whole product is never held. A BLAS may round a
+    product differently with its shape (OpenBLAS 0.3.31 rounds a 700 x 333
+    rank-8 product unlike any split of it into row blocks), so this is the
+    only place it is formed.
     """
     left, right = _factor_dcts(b, a)
+    n = right.shape[1]
+    spans = _row_spans(left.shape[0], n, right.shape[0])
+    step = max(1, _CHUNK_ENTRIES // ((spans[0][1] - spans[0][0]) * n))
+    chunks = [spans[i : i + step] for i in range(0, len(spans), step)]
 
     def blocks(out: np.ndarray | None = None):
-        for start, stop in _row_spans(left.shape[0], right.shape[1], right.shape[0]):
-            rows = None if out is None else out[start:stop]
-            block = np.matmul(left[start:stop], right, out=rows)
-            block *= float(scale)
-            yield block.reshape(-1)
+        scratch = np.empty((chunks[0][-1][1], n)) if out is None else None
+        for chunk in chunks:
+            top, bottom = chunk[0][0], chunk[-1][1]
+            rows = out[top:bottom] if scratch is None else scratch[: bottom - top]
+            for start, stop in chunk:
+                np.matmul(left[start:stop], right, out=rows[start - top : stop - top])
+            rows *= float(scale)
+            yield rows.reshape(-1)
 
     return blocks
 

@@ -17,7 +17,7 @@ import os
 import sys
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from importlib import metadata
+from functools import cache
 from itertools import islice
 
 import numpy as np
@@ -27,10 +27,25 @@ from .container import AdapterFile, LoraPair, pair_lora
 from .errors import DegenerateInput, ZeroSpectrum
 from .stats import _factored_svd_k90, svd_dct_correlate
 
-try:
-    TOOL_VERSION = metadata.version("lorafreq")
-except metadata.PackageNotFoundError:  # running from an unpacked tree
-    TOOL_VERSION = "0.0.0"
+
+@cache
+def _tool_version() -> str:
+    """The installed package's version, "0.0.0" when run from an unpacked
+    tree. Looked up on first use: importing importlib.metadata costs every
+    process 30-50 ms, and only the reports carry the version."""
+    from importlib import metadata
+
+    try:
+        return metadata.version("lorafreq")
+    except metadata.PackageNotFoundError:
+        return "0.0.0"
+
+
+def __getattr__(name: str):
+    if name == "TOOL_VERSION":
+        return _tool_version()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 # Curves over this many coefficients are thinned to at most _CURVE_POINTS
 # evenly spaced ranks; below it every rank is emitted.
@@ -168,7 +183,7 @@ def analysis_report(
         "cells": cells,
     }
     return {
-        "tool_version": TOOL_VERSION,
+        "tool_version": _tool_version(),
         "input_path": input_path,
         "scale_applied": float(scale_applied),
         "per_matrix": rows,
@@ -228,7 +243,7 @@ def correlate_report(
         )
     result = svd_dct_correlate([(svd, dct) for _, svd, dct in rows])
     return {
-        "tool_version": TOOL_VERSION,
+        "tool_version": _tool_version(),
         "input_path": input_path,
         "scale_applied": float(scale_applied),
         "per_matrix": [[prefix, svd, dct] for prefix, svd, dct in rows],

@@ -848,6 +848,39 @@ def test_cli_import_loads_no_scipy_stats_or_mpmath():
     assert done.stdout.strip() == "[]"
 
 
+def test_start_up_loads_no_importlib_metadata(tmp_path):
+    """importlib.metadata costs every process ~30 ms; only a report needs
+    the tool version, so synth never loads it and analyze still records it."""
+    code = """
+import sys
+from lorafreq.cli import main
+d = sys.argv[1]
+print("loaded", "importlib.metadata" in sys.modules)
+assert main(["synth", "--kind", "mixed", "--m", "24", "--n", "20", "--count", "4",
+             "--out", d + "/a.st"]) == 0
+print("loaded", "importlib.metadata" in sys.modules)
+assert main(["analyze", d + "/a.st", "--out", d + "/rep"]) == 0
+from importlib import metadata
+try:
+    print("version", metadata.version("lorafreq"))
+except metadata.PackageNotFoundError:
+    print("version", "0.0.0")
+"""
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)],
+        env=subprocess_env(),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    tagged = [line.split() for line in done.stdout.splitlines()]
+    tagged = [words for words in tagged if words[:1] in (["loaded"], ["version"])]
+    assert tagged[:2] == [["loaded", "False"], ["loaded", "False"]]
+    report_doc = json.loads((tmp_path / "rep" / "report.json").read_text())
+    assert tagged[2:] == [["version", report_doc["tool_version"]]]
+
+
 def test_export_list():
     """Every name in __all__ resolves, each listed once; the heatmap names
     are not exported, since analysis_report builds the heatmap itself."""

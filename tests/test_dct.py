@@ -15,6 +15,7 @@ from lorafreq.container import merge_delta, pair_lora
 from lorafreq.dct import (
     _BLOCK,
     _BLOCK_WORK,
+    _CHUNK_ENTRIES,
     _STEP,
     Spectrum,
     _dct_axis,
@@ -366,10 +367,23 @@ class TestDct2Factored:
             ), pair.prefix
 
 
+def chunk_bounds(m, n, r):
+    """(top, bottom) rows of the chunks ``_factored_rows`` should yield: runs
+    of whole ``_row_spans`` spans, each as long as fits in _CHUNK_ENTRIES
+    entries, and at least one span."""
+    bounds = []
+    for start, stop in _row_spans(m, n, r):
+        if bounds and (stop - bounds[-1][0]) * n <= _CHUNK_ENTRIES:
+            bounds[-1] = (bounds[-1][0], stop)
+        else:
+            bounds.append((start, stop))
+    return bounds
+
+
 class TestFactoredRows:
-    """mask reads the factored product in row blocks; they must be the
-    product's rows bit for bit, or the sparse file's bytes would follow how
-    the BLAS rounds each shape."""
+    """Every command reads the factored product in row chunks; they must be
+    the product's rows bit for bit, or the sparse file's bytes would follow
+    how the BLAS rounds each shape."""
 
     @pytest.mark.parametrize(
         "m, n, r", [(1, 9, 1), (3, 5, 2), (257, 1024, 16), (700, 333, 8), (5, 70000, 4)]
@@ -384,26 +398,63 @@ class TestFactoredRows:
     @pytest.mark.parametrize(
         "kind, m, n, r, noise",
         [
-            ("gaussian_iid", 257, 1024, 16, 0.0),  # a last block of one row
+            ("gaussian_iid", 257, 1024, 16, 0.0),  # a last chunk of one row
             ("mixed", 700, 333, 8, 0.3),  # rounds unlike one 700-row product
             ("mixed", 768, 768, 8, 0.3),
             ("gaussian_iid", 129, 600, 64, 0.0),
             ("dense_gaussian", 300, 300, 1, 0.0),  # r = n
-            ("gaussian_iid", 4, 70000, 4, 0.0),  # one-row blocks
+            ("gaussian_iid", 4, 70000, 4, 0.0),  # one-row spans
+            ("dense_gaussian", 600, 400, 1, 0.0),  # r = n, one-row spans
+            ("gaussian_iid", 3, 200000, 1, 0.0),  # one span over _CHUNK_ENTRIES
         ],
         ids=["257x1024-r16", "700x333-r8", "768x768-r8", "129x600-r64", "fullrank-300",
-             "4x70000"],
+             "4x70000", "fullrank-600x400", "3x200000-r1"],
     )
     def test_blocks_are_the_product_rows(self, kind, m, n, r, noise):
         pair = fixture_pair(kind, m, n, r, seed=12, noise_level=noise)
         args = (pair.b_matrix, pair.a_matrix, 0.7)
         blocks = _factored_rows(*args)
         want = _factored_product(*args).reshape(-1)
+        bounds = chunk_bounds(m, n, pair.rank)
         for _ in range(2):  # every call yields the same blocks
-            got = list(blocks())
-            assert len(got) == len(_row_spans(m, n, pair.rank)) > 1
-            assert all(block.flags.writeable for block in got)
+            got = []
+            for block in blocks():  # one scratch chunk, overwritten by the next
+                assert block.flags.writeable
+                got.append(block.copy())
+            assert [block.size for block in got] == [
+                (bottom - top) * n for top, bottom in bounds
+            ]
             assert np.concatenate(got).tobytes() == want.tobytes()
+        assert (len(got) > 1) == (m * n > _CHUNK_ENTRIES)
+
+    @pytest.mark.parametrize(
+        "m, n, r",
+        [(257, 1024, 16), (700, 333, 8), (300, 300, 300), (3, 200000, 1), (5, 9, 2)],
+    )
+    @pytest.mark.parametrize("into", ["scratch", "out"])
+    def test_each_gemm_covers_one_span(self, m, n, r, into, monkeypatch):
+        """Chunking changes what is yielded, never which gemms form it."""
+        rng = np.random.default_rng(3)
+        blocks = _factored_rows(
+            Matrix(rng.standard_normal((m, r))), Matrix(rng.standard_normal((r, n))), 0.5
+        )
+        calls = []
+        matmul = np.matmul
+
+        def spy(x, y, out):
+            calls.append((x.__array_interface__["data"][0], x.shape[0], out.shape))
+            return matmul(x, y, out=out)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        out = np.empty((m, n)) if into == "out" else None
+        yielded = sum(block.size for block in blocks(out))
+        monkeypatch.undo()
+        first, row_bytes = calls[0][0], r * 8
+        got = [((ptr - first) // row_bytes, (ptr - first) // row_bytes + rows)
+               for ptr, rows, _ in calls]
+        assert got == _row_spans(m, n, r)
+        assert all(shape == (rows, n) for _, rows, shape in calls)
+        assert yielded == m * n
 
     def test_dct2_factored_holds_one_spectrum(self, peak_alloc):
         pair = fixture_pair("mixed", 1024, 1024, 16, seed=11, noise_level=0.3)
