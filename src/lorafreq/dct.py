@@ -20,10 +20,13 @@ never built. Every command gets its spectrum this way (see ``analysis``);
 
 Every transform runs on ``numpy.fft``, in place, through one kernel per
 direction (``_dct_axis``, ``_idct_axis``). Each step takes whole lines along
-one axis: ``_BLOCK`` of them, or as many as fill ``_STEP`` entries when they
-are short, since a numpy.fft call costs ~10 us before any work. numpy.fft
-transforms each line on its own, so a line's bits do not depend on the step
-it shares: blocking changes no output.
+one axis (``_step_lines``): at least ``_BLOCK`` of them, or as many as fill
+``_STEP`` entries when they are short, since a numpy.fft call costs ~10 us
+before any work. The inverse takes more when its buffer is large: about
+1/40 of the buffer per step, up to ``_STEP_MAX`` entries, so its calls hold
+the GIL less and the pool's inverses run side by side. numpy.fft transforms
+each line on its own, so a line's bits do not depend on the step it shares
+or on the axis it lies along: blocking changes no output.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ class Spectrum:
 def dct2(x: Matrix) -> Spectrum:
     """Forward orthonormal 2D DCT-II, in one copy of x; every coefficient
     is within 2 * eps * ||x||_F of ``scipy.fft.dctn(x, norm="ortho")``."""
-    return Spectrum(_both_axes(_dct_axis, np.array(x.array)))
+    return Spectrum(Matrix(_both_axes(_dct_axis, np.array(x.array)), copy=False))
 
 
 def dct2_factored(b: Matrix, a: Matrix, scale: float) -> Spectrum:
@@ -142,31 +145,55 @@ def _factored_rows(b: Matrix, a: Matrix, scale: float):
 
 
 def idct2(f: Spectrum) -> Matrix:
-    """Inverse of :func:`dct2` (separable orthonormal DCT-III)."""
-    return _both_axes(_idct_axis, np.array(f.coefficients.array))
+    """Inverse of :func:`dct2` (separable orthonormal DCT-III); a non-finite
+    result raises ValueError."""
+    return Matrix(_both_axes(_idct_axis, np.array(f.coefficients.array)), copy=False)
 
 
 def scatter_idct2(shape: tuple[int, int], flat_indices, values) -> Matrix:
     """Inverse of a spectrum that is zero outside the given flat indices, in
-    one m x n buffer; ``values`` is only read."""
+    one m x n buffer; ``values`` is only read, and a non-finite result
+    raises ValueError."""
+    return Matrix(_scatter_inverse(shape, flat_indices, values), copy=False)
+
+
+def _scatter_inverse(shape: tuple[int, int], flat_indices, values) -> np.ndarray:
+    """``scatter_idct2``'s buffer, with its entries unchecked."""
     m, n = shape
     flat = np.zeros(m * n)
     flat[flat_indices] = values
     return _both_axes(_idct_axis, flat.reshape(m, n))
 
 
-def _both_axes(kernel, buffer: np.ndarray) -> Matrix:
-    """Run ``kernel`` along the rows, then the columns, of a writable C-contiguous
-    array and adopt it as a Matrix; a non-finite result raises ValueError."""
+def _both_axes(kernel, buffer: np.ndarray) -> np.ndarray:
+    """Run ``kernel`` along the rows, then the columns, of a writable
+    C-contiguous array and return it."""
     with np.errstate(invalid="ignore", over="ignore"):
         kernel(buffer, axis=1)
         kernel(buffer, axis=0)
-    return Matrix(buffer, copy=False)
+    return buffer
 
 
-# Scratch per step: about 60 (_dct_axis) and 24 (_idct_axis) bytes per entry.
+# Scratch per step: about 60 (_dct_axis) and 24 (_idct_axis) bytes per entry
+# of the step. An inverse's step of 1/_STEP_SHARE of its buffer thus keeps
+# its scratch under a tenth of the buffer, and 3 MB at most; the floor's
+# steps of _BLOCK or _STEP // n lines can take more on a thin buffer.
 _BLOCK = 8
 _STEP = 4096
+_STEP_SHARE = 40
+# 32 lines of 4096. A 4096^2 inverse's column pass took 0.25-0.28 s in steps
+# of 8 lines, 0.20-0.27 s in 16, 0.19-0.21 s in 32 and 0.18-0.26 s in 64; its
+# row pass 0.12-0.15 s in 8 and 0.13-0.18 s in 32 (2-vCPU Xeon VM,
+# OPENBLAS_NUM_THREADS=1, three rounds of best of 5).
+_STEP_MAX = 2**17
+
+
+def _step_lines(n: int, entries: int = 0) -> int:
+    """Lines of length n in one kernel step: ``_BLOCK``, or as many as fill
+    ``_STEP`` entries, or ``entries // _STEP_SHARE`` entries up to ``_STEP_MAX``,
+    whichever is most. ``entries`` is the buffer's size, 0 for the floor alone."""
+    share = min(entries // _STEP_SHARE, _STEP_MAX)
+    return max(_BLOCK, _STEP // n, share // n)
 
 
 def _dct_axis(x: np.ndarray, axis: int) -> None:
@@ -182,7 +209,7 @@ def _dct_axis(x: np.ndarray, axis: int) -> None:
     norm = np.full(n, np.sqrt(2.0 / n))
     norm[0] = np.sqrt(1.0 / n)
     cos, sin = norm * np.cos(angle), norm * np.sin(angle)
-    rows = max(_BLOCK, _STEP // n)
+    rows = _step_lines(n)
     for start in range(0, lines.shape[0], rows):
         block = lines[start : start + rows]
         v = np.concatenate((block[:, 0::2], block[:, 1::2][:, ::-1]), axis=1)
@@ -199,30 +226,45 @@ def _idct_axis(x: np.ndarray, axis: int) -> None:
     X[N] = 0, the FFT of the reordered signal is
     V[k] = exp(i pi k / 2N) (X[k] / a(k) - i X[N-k] / a(N-k)). One inverse
     real FFT of V[0..N/2] gives v, and x[2j] = v[j], x[2j+1] = v[N-1-j].
-    Lines go through a step at a time, in a spectrum scratch laid out like
-    ``x``, so a block of columns is read along x's rows.
+    One body serves both axes: a step is a block of whole lines, rows
+    ``x[s:s+w]`` or columns ``x[:, s:s+w]`` with w from ``_step_lines`` of
+    x's size, and every operation runs along ``axis`` on that block and on a
+    spectrum scratch laid out like it.
     """
-    lines = x if axis == 1 else x.T
-    count, n = lines.shape
+    n, count = x.shape[axis], x.shape[1 - axis]
     half = n // 2 + 1
     # 1 / (N a(k)) goes into the twiddle: irfft with norm="forward" leaves
     # the 1/N of the inverse out.
     twiddle = np.exp(1j * np.pi / (2 * n) * np.arange(half)) * np.sqrt(0.5 / n)
     twiddle[0] = np.sqrt(1.0 / n)
-    rows = min(max(_BLOCK, _STEP // n), count)
-    order = "C" if axis == 1 else "F"
-    spectrum = np.empty((rows, half), dtype=np.complex128, order=order)
-    for start in range(0, count, rows):
-        block = lines[start : start + rows]
-        spec = spectrum[: block.shape[0]]
-        spec.real[...] = block[:, :half]
-        spec.imag[:, 0] = 0.0
-        np.negative(block[:, : n - half : -1], out=spec.imag[:, 1:])  # X[N-k]
+    w = min(_step_lines(n, x.size), count)
+    shape = [w, w]
+    shape[axis] = half
+    spectrum = np.empty(shape, dtype=np.complex128)
+    twiddle = np.expand_dims(twiddle, 1 - axis)  # broadcast along the lines
+    low, dc, rest = _on(axis, slice(half)), _on(axis, 0), _on(axis, slice(1, None))
+    high = _on(axis, slice(n - 1, n - half, -1))  # X[N-k], 0 < k < half
+    even = _on(axis, slice(0, None, 2))
+    odd = _on(axis, slice(1, None, 2))
+    head = _on(axis, slice((n + 1) // 2))  # v[j] for x[2j]
+    tail = _on(axis, slice(n - 1, n - 1 - n // 2, -1))  # v[N-1-j] for x[2j+1]
+    for start in range(0, count, w):
+        block = x[_on(1 - axis, slice(start, start + w))]
+        spec = spectrum[_on(1 - axis, slice(block.shape[1 - axis]))]
+        spec.real[...] = block[low]
+        spec.imag[dc] = 0.0
+        np.negative(block[high], out=spec.imag[rest])
         spec *= twiddle
         # A new block per step: numpy.fft takes out= only from numpy 2.0.
-        sig = np.fft.irfft(spec, n=n, axis=1, norm="forward")
-        block[:, 0::2] = sig[:, : (n + 1) // 2]
-        block[:, 1::2] = sig[:, ::-1][:, : n // 2]
+        sig = np.fft.irfft(spec, n=n, axis=axis, norm="forward")
+        block[even] = sig[head]
+        block[odd] = sig[tail]
+        del sig  # freed before the next step's is made
+
+
+def _on(axis: int, part) -> tuple:
+    """Index of a 2-D array that takes ``part`` along ``axis``."""
+    return (slice(None), part) if axis == 1 else (part,)
 
 
 def dct2_reference(x: Matrix) -> Spectrum:

@@ -16,13 +16,13 @@ from lorafreq.dct import (
     _BLOCK,
     _BLOCK_WORK,
     _CHUNK_ENTRIES,
-    _STEP,
     Spectrum,
     _dct_axis,
     _factored_product,
     _factored_rows,
     _idct_axis,
     _row_spans,
+    _step_lines,
     dct2,
     dct2_factored,
     dct2_reference,
@@ -240,10 +240,12 @@ class TestDctAxis:
 def test_kernel_bits_do_not_follow_the_block(kernel, axis, extra, length):
     """Each line comes out as it would alone, byte for byte, so no output
     depends on how the lines fall into steps."""
-    step = max(_BLOCK, _STEP // length)
+    step = _step_lines(length)
     lines = 2 * step + 1 if extra == "2x+1" else step + extra
     rng = np.random.default_rng(length * 100 + lines * 10 + axis)
     x = rng.standard_normal((length, lines) if axis == 0 else (lines, length))
+    # Buffers this small step by the floor under either kernel's rule.
+    assert _step_lines(length, x.size) == step
     whole = x.copy()
     kernel(whole, axis)
     for i in range(lines):
@@ -268,9 +270,17 @@ class TestIdctAxis:
         eps = np.finfo(float).eps
         assert np.max(np.abs(x - want)) <= 4 * eps * np.linalg.norm(f)
 
-    @pytest.mark.parametrize("axis", [0, 1])
-    def test_scratch_is_a_tenth_of_the_buffer(self, axis):
-        x = np.random.default_rng(97).standard_normal((512, 512))
+    @pytest.mark.parametrize(
+        "shape, axis",
+        [pytest.param((512, 512), axis, id=str(axis)) for axis in (0, 1)]
+        + [
+            pytest.param((m, n), axis, id=f"{m}x{n}-{axis}")
+            for m, n in [(768, 768), (2048, 512), (512, 2048)]
+            for axis in (0, 1)
+        ],
+    )
+    def test_scratch_is_a_tenth_of_the_buffer(self, shape, axis):
+        x = np.random.default_rng(97).standard_normal(shape)
         _idct_axis(x[:2].copy(), 1)  # numpy.fft's one-time set-up
         tracemalloc.start()
         try:
@@ -279,6 +289,31 @@ class TestIdctAxis:
         finally:
             tracemalloc.stop()
         assert peak <= 0.1 * x.nbytes
+
+    @pytest.mark.parametrize(
+        "shape, column_blocks",
+        [
+            ((51, 9), 1),  # odd length, fewer lines than one step
+            ((768, 768), 41),  # steps of 19 lines, the last one 8
+            ((1000, 1001), 41),  # even columns in steps of 25, the last one 1
+            ((1001, 1000), 40),  # odd columns in steps of 25
+            ((128, 256), 8),
+            ((2, 1), 1),
+            ((1, 3), 1),
+        ],
+    )
+    def test_column_pass_is_the_row_pass_of_the_transpose(self, shape, column_blocks):
+        """Each axis transforms its lines as the other axis transforms them
+        in the transpose, byte for byte, so every dense output keeps its
+        bytes whichever axis a line lies along."""
+        x = np.random.default_rng(shape[0] * 7 + shape[1]).standard_normal(shape)
+        assert math.ceil(shape[1] / _step_lines(shape[0], x.size)) == column_blocks
+        for axis in (0, 1):
+            direct = x.copy()
+            _idct_axis(direct, axis)
+            transposed = x.T.copy()
+            _idct_axis(transposed, 1 - axis)
+            assert direct.tobytes() == np.ascontiguousarray(transposed.T).tobytes()
 
     @pytest.mark.parametrize(
         "shape",
