@@ -20,15 +20,17 @@ import json
 import os
 import re
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from itertools import chain
 from pathlib import Path
 
 import click
+import numpy as np
 
 from . import codec, report
 from .analysis import _factored_energies, _factored_selection, _sweep_points
 from .container import container_chunks, container_header, read_container
-from .dct import _scatter_inverse
+from .dct import _invert_columns, _scatter_rows
 from .errors import LorafreqError
 from .fixtures import KINDS, FixtureSpec, generate_set, ramp_specs, repeat_specs
 
@@ -345,11 +347,17 @@ def _prefixed_rows(prefix: str, text: str) -> str:
 def _write_dense(path: Path, tensors, threads) -> None:
     """Write (name, shape, flat indices, values) spectra, inverted, as F64.
 
-    The header needs only names and shapes, so it is written first; each
-    inverse then runs on the pool and its buffer goes straight into the
-    file, in sorted-name order, with at most ``threads`` alive.
+    The header needs only names and shapes, so it is written first. The
+    inverses then run one at a time, in sorted-name order, in one buffer
+    sized for the largest and reused by each, so one dense matrix is held
+    at any ``threads``. Each inverse is split over the whole pool: every
+    worker takes one contiguous share of the rows (zeroes them, scatters in
+    their coefficients, found by ``searchsorted`` since each spectrum's flat
+    indices ascend, and runs the row pass), then one share of the columns
+    for the column pass, and the buffer goes into the file. Each line is
+    transformed on its own, so the split changes no output bit.
 
-    The buffers skip Matrix's finiteness scan, which cannot fire here. By
+    The buffer skips Matrix's finiteness scan, which cannot fire here. By
     Parseval an inverse has the spectrum's Frobenius norm. decompress's
     values each passed ``codec._fits_binary32`` and number at most 2^32, so
     ||X||_F <= 2^16 * 2^128; mask's are entries of a product whose pair
@@ -358,13 +366,29 @@ def _write_dense(path: Path, tensors, threads) -> None:
     """
     tensors = sorted(tensors, key=lambda t: t[0])
     header = container_header([(t[0], "F64", t[1]) for t in tensors])
-    payloads = report.map_matrices(
-        lambda t: _scatter_inverse(*t[1:]).astype("<f8", copy=False),
-        tensors,
-        threads,
-        bounded=True,
-    )
-    _write_chunks(path, chain([header], payloads))
+    _write_chunks(path, chain([header], _inverses(tensors, threads)))
+
+
+def _inverses(tensors, threads):
+    """Yield each spectrum's inverse, in order, from one reused buffer."""
+    workers = report._workers(threads)
+    # Zeroed by the allocator, so the first inverse skips clearing its rows.
+    buffer = np.zeros(max(m * n for _, (m, n), _, _ in tensors))
+
+    with ThreadPoolExecutor(workers) as pool:
+
+        def split(task, lines):
+            """Run task(start, stop) on each worker's share of the lines, the
+            empty ones left out, and wait for every share."""
+            bounds = [lines * i // workers for i in range(workers + 1)]
+            shares = [(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
+            list(pool.map(lambda share: task(*share), shares))
+
+        for i, (_, (m, n), indices, values) in enumerate(tensors):
+            x = buffer[: m * n].reshape(m, n)
+            split(lambda a, b: _scatter_rows(x, a, b, indices, values, i > 0), m)
+            split(lambda a, b: _invert_columns(x, a, b), n)
+            yield x.astype("<f8", copy=False)
 
 
 def _write_chunks(path: Path, chunks) -> None:

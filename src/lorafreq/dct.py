@@ -24,9 +24,10 @@ one axis (``_step_lines``): at least ``_BLOCK`` of them, or as many as fill
 ``_STEP`` entries when they are short, since a numpy.fft call costs ~10 us
 before any work. The inverse takes more when its buffer is large: about
 1/40 of the buffer per step, up to ``_STEP_MAX`` entries, so its calls hold
-the GIL less and the pool's inverses run side by side. numpy.fft transforms
-each line on its own, so a line's bits do not depend on the step it shares
-or on the axis it lies along: blocking changes no output.
+the GIL less and the threads that share one inverse run side by side.
+numpy.fft transforms each line on its own, so a line's bits do not depend
+on the step or thread it shares or on the axis it lies along: blocking and
+splitting change no output.
 """
 
 from __future__ import annotations
@@ -154,15 +155,34 @@ def scatter_idct2(shape: tuple[int, int], flat_indices, values) -> Matrix:
     """Inverse of a spectrum that is zero outside the given flat indices, in
     one m x n buffer; ``values`` is only read, and a non-finite result
     raises ValueError."""
-    return Matrix(_scatter_inverse(shape, flat_indices, values), copy=False)
-
-
-def _scatter_inverse(shape: tuple[int, int], flat_indices, values) -> np.ndarray:
-    """``scatter_idct2``'s buffer, with its entries unchecked."""
     m, n = shape
     flat = np.zeros(m * n)
     flat[flat_indices] = values
-    return _both_axes(_idct_axis, flat.reshape(m, n))
+    return Matrix(_both_axes(_idct_axis, flat.reshape(m, n)), copy=False)
+
+
+def _scatter_rows(
+    x: np.ndarray, start: int, stop: int, flat_indices, values, clear: bool
+) -> None:
+    """The row pass of x's inverse on rows start:stop, one share of it.
+
+    The rows are zeroed (unless ``clear`` is false: they already are), the
+    coefficients whose flat indices fall in them are scattered in, found by
+    one ``searchsorted`` since the indices must ascend, and the rows are
+    inverted in steps sized for all of x.
+    """
+    n = x.shape[1]
+    if clear:
+        x[start:stop] = 0.0
+    lo, hi = np.searchsorted(flat_indices, (start * n, stop * n))
+    x.reshape(-1)[flat_indices[lo:hi]] = values[lo:hi]
+    _idct_axis(x[start:stop], 1, x.size)
+
+
+def _invert_columns(x: np.ndarray, start: int, stop: int) -> None:
+    """The column pass of x's inverse on columns start:stop, one share of
+    it, in steps sized for all of x."""
+    _idct_axis(x[:, start:stop], 0, x.size)
 
 
 def _both_axes(kernel, buffer: np.ndarray) -> np.ndarray:
@@ -218,7 +238,7 @@ def _dct_axis(x: np.ndarray, axis: int) -> None:
         block += spectrum.imag * sin
 
 
-def _idct_axis(x: np.ndarray, axis: int) -> None:
+def _idct_axis(x: np.ndarray, axis: int, entries: int = 0) -> None:
     """Orthonormal DCT-III (the inverse of ``_dct_axis``) of a writable 2-D
     float64 array along one axis, written back into ``x``.
 
@@ -228,8 +248,9 @@ def _idct_axis(x: np.ndarray, axis: int) -> None:
     real FFT of V[0..N/2] gives v, and x[2j] = v[j], x[2j+1] = v[N-1-j].
     One body serves both axes: a step is a block of whole lines, rows
     ``x[s:s+w]`` or columns ``x[:, s:s+w]`` with w from ``_step_lines`` of
-    x's size, and every operation runs along ``axis`` on that block and on a
-    spectrum scratch laid out like it.
+    ``entries`` (x's size when 0; a share of a buffer passes the buffer's),
+    and every operation runs along ``axis`` on that block and on a spectrum
+    scratch laid out like it.
     """
     n, count = x.shape[axis], x.shape[1 - axis]
     half = n // 2 + 1
@@ -237,7 +258,7 @@ def _idct_axis(x: np.ndarray, axis: int) -> None:
     # the 1/N of the inverse out.
     twiddle = np.exp(1j * np.pi / (2 * n) * np.arange(half)) * np.sqrt(0.5 / n)
     twiddle[0] = np.sqrt(1.0 / n)
-    w = min(_step_lines(n, x.size), count)
+    w = min(_step_lines(n, entries or x.size), count)
     shape = [w, w]
     shape[axis] = half
     spectrum = np.empty(shape, dtype=np.complex128)

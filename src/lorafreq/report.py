@@ -2,12 +2,14 @@
 
 Builders return plain dicts shaped exactly like the shipped JSON schemas
 (schemas/analysis_report.schema.json, schemas/correlate_report.schema.json).
-Every command's per-matrix work runs through map_matrices, one thread pool
-whose results are yielded in input order, so outputs are deterministic
-regardless of scheduling. analyze's and correlate's workers each hold one
-m x n buffer per matrix: the factored spectrum, squared, sorted and turned
-into its cumulative energy fraction in place, from which only a count and
-at most 2048 curve points are kept.
+The per-matrix work of analyze, mask, sweep and correlate runs through
+map_matrices, one thread pool whose results are yielded in input order, so
+outputs are deterministic regardless of scheduling. The dense writer of
+decompress and mask --emit dense (cli._write_dense) instead splits each
+inverse over a pool of the same _workers size. analyze's and correlate's
+workers each hold one m x n buffer per matrix: the factored spectrum,
+squared, sorted and turned into its cumulative energy fraction in place,
+from which only a count and at most 2048 curve points are kept.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import sys
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from functools import cache
-from itertools import islice
 
 import numpy as np
 
@@ -64,35 +65,28 @@ def effective_pairs(file: AdapterFile, scale_override: float | None = None):
     return pairs, result.orphans
 
 
-def map_matrices(fn, items, threads: int | None, bounded: bool = False):
-    """Yield fn over items, in order, from one thread pool (None: one
-    thread per usable core).
-
-    Unbounded, every item is submitted at once, so no worker waits for the
-    consumer. Bounded, an item is submitted only while fewer than
-    ``threads`` results wait to be consumed, so a consumer that drops each
-    result before asking for the next holds at most ``threads`` of them; a
-    worker whose result is not next then idles, which cost bert-shaped
-    analyze, mask and sweep about 5%.
-
-    The zero-update rule of every command: an item for which fn raises
-    ZeroSpectrum is skipped with a warning naming its prefix (the inverse
-    transforms never raise it), and ZeroSpectrum is raised when no item is
-    left. Any other error, or a consumer that stops early, cancels every
-    item not yet started; the pool still waits for the running ones.
-    """
+def _workers(threads: int | None) -> int:
+    """``threads``, or None for one per core this process may run on."""
     affinity = getattr(os, "sched_getaffinity", None)  # absent on macOS and Windows
-    workers = threads or (len(affinity(0)) if affinity else os.cpu_count() or 1)
-    todo = iter(items)
-    window = deque()
+    return threads or (len(affinity(0)) if affinity else os.cpu_count() or 1)
+
+
+def map_matrices(fn, items, threads: int | None):
+    """Yield fn over items, in order, from one thread pool of
+    ``_workers(threads)`` threads; every item is submitted at once, so no
+    worker waits for the consumer.
+
+    The zero-update rule of every command that reads factors: an item for
+    which fn raises ZeroSpectrum is skipped with a warning naming its
+    prefix, and ZeroSpectrum is raised when no item is left. Any other
+    error, or a consumer that stops early, cancels every item not yet
+    started; the pool still waits for the running ones.
+    """
+    pool = ThreadPoolExecutor(max_workers=_workers(threads))
     live = False
-    pool = ThreadPoolExecutor(max_workers=workers)
     try:
-        while True:
-            for item in islice(todo, workers - len(window) if bounded else None):
-                window.append((item, pool.submit(fn, item)))
-            if not window:
-                break
+        window = deque((item, pool.submit(fn, item)) for item in items)
+        while window:
             item, future = window.popleft()
             try:
                 result = future.result()

@@ -529,26 +529,28 @@ class TestStreamedDense:
         assert len(outputs) == 1
 
     def test_one_inverse_alive_at_a_time(self, tmp_path):
-        """With one thread, decompress holds one dense matrix, not all eight.
+        """At any thread count, decompress holds one dense matrix, not one
+        per thread or all eight: the inverses take turns in one buffer.
 
         The read phase grows with k: the sparse file's raw bytes plus
         unpack_sparse_file's int64 and float32 copies set the whole run's
         peak at k = 10, 2.54 x 8mn, before any inverse runs. At k = 5 the
-        peak is 1.85 x 8mn, and a second dense buffer would break the
-        bound."""
+        peak is 1.8 x 8mn at one or two threads and 1.95 x at three, and a
+        second dense buffer would break the bound."""
         src = synth(tmp_path, kind="gaussian_iid", m=256, n=256, r=4, count=8,
                     **{"noise-level": 0.0})
         sparse, out = tmp_path / "s.st", tmp_path / "d.st"
         assert main(["mask", str(src), "--k", "5", "--out", str(sparse)]) == 0
-        argv = ["decompress", str(sparse), "--out", str(out), "--threads", "1"]
-        assert main(argv) == 0  # numpy.fft's one-time set-up is not counted
-        tracemalloc.start()
-        try:
-            assert main(argv) == 0
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2.5 * 8 * 256 * 256
+        for threads in ("1", "2", "3"):
+            argv = ["decompress", str(sparse), "--out", str(out), "--threads", threads]
+            assert main(argv) == 0  # numpy.fft's one-time set-up is not counted
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2.5 * 8 * 256 * 256, threads
 
     def test_failure_keeps_the_old_output_and_no_temp_file(
         self, src, tmp_path, monkeypatch, capsys
@@ -560,20 +562,59 @@ class TestStreamedDense:
         out = out_dir / "d.st"
         out.write_bytes(b"earlier output")
         kernel = lorafreq.dct._idct_axis
-        calls = []
+        for threads in (1, 2):
+            calls = []
 
-        def fail_on_the_second_matrix(x, axis):
-            calls.append(axis)
-            if len(calls) > 2:  # two axes per matrix
-                raise CorruptSparse("injected failure")
-            kernel(x, axis)
+            def fail_on_the_second_matrix(x, axis, entries=0):
+                calls.append(axis)
+                # Two axes per matrix, each split into one share per thread.
+                if len(calls) > 2 * threads:
+                    raise CorruptSparse("injected failure")
+                kernel(x, axis, entries)
 
-        monkeypatch.setattr(lorafreq.dct, "_idct_axis", fail_on_the_second_matrix)
-        argv = ["decompress", str(sparse), "--out", str(out), "--threads", "1"]
-        assert main(argv) == 5
-        assert "injected failure" in capsys.readouterr().err
-        assert out.read_bytes() == b"earlier output"
-        assert [p.name for p in out_dir.iterdir()] == ["d.st"]
+            monkeypatch.setattr(lorafreq.dct, "_idct_axis", fail_on_the_second_matrix)
+            argv = ["decompress", str(sparse), "--out", str(out),
+                    "--threads", str(threads)]
+            assert main(argv) == 5
+            assert "injected failure" in capsys.readouterr().err
+            assert out.read_bytes() == b"earlier output"
+            assert [p.name for p in out_dir.iterdir()] == ["d.st"]
+
+    def test_the_reused_buffer_leaks_nothing_between_matrices(self, tmp_path):
+        """Each inverse starts from zero in the buffer the last one left:
+        a larger matrix before a smaller one, a transposed shape after it,
+        and a 1 x 7 one with fewer rows than threads. The threads share the
+        buffer, so the runs take a short switch interval and up to four
+        threads, for a share that writes outside its lines to show."""
+        rng = np.random.default_rng(29)
+        tensors = []
+        for name, (m, n) in (("a", (60, 40)), ("b", (50, 30)), ("c", (30, 50)),
+                             ("d", (1, 7))):
+            tensors += [
+                TensorRecord(f"{name}.lora_A.weight", "F64", (1, n),
+                             rng.standard_normal((1, n))),
+                TensorRecord(f"{name}.lora_B.weight", "F64", (m, 1),
+                             rng.standard_normal((m, 1))),
+            ]
+        src, sparse = tmp_path / "src.st", tmp_path / "s.st"
+        src.write_bytes(write_container(AdapterFile(tensors=tuple(tensors))))
+        assert main(["mask", str(src), "--k", "30", "--out", str(sparse)]) == 0
+        records = []
+        for s in codec.unpack_sparse_file(read_container(sparse.read_bytes())):
+            dense = codec.decode_sparse(s)
+            records.append(TensorRecord(f"{s.name}.delta_w", "F64", dense.shape, dense.array))
+        want = write_container(AdapterFile(tensors=tuple(records), metadata={}))
+        assert [r.shape for r in records] == [(60, 40), (50, 30), (30, 50), (1, 7)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for threads in ("1", "2", "4"):
+                out = tmp_path / f"d{threads}.st"
+                assert main(["decompress", str(sparse), "--out", str(out),
+                             "--threads", threads]) == 0
+                assert out.read_bytes() == want
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestSweep:
