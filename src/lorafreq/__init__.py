@@ -39,7 +39,6 @@ from .dct import (
     dct2_factored,
     dct2_reference,
     idct2,
-    idct2_reference,
 )
 from .errors import (
     ContainerError,
@@ -65,7 +64,7 @@ from .fixtures import (
     ramp_specs,
     repeat_specs,
 )
-from .linalg import Matrix, SvdResult, matmul, svd
+from .linalg import Matrix, SvdResult, svd
 from .report import _tool_version
 from .stats import (
     CorrelationResult,
@@ -127,10 +126,8 @@ __all__ = [
     "generate",
     "generate_set",
     "idct2",
-    "idct2_reference",
     "k_for_energy",
     "mask_count",
-    "matmul",
     "merge_delta",
     "pack_sparse_file",
     "pair_lora",

@@ -43,13 +43,13 @@ _CEIL_EPS = 1e-9
 
 @dataclass(frozen=True)
 class EnergyCurve:
-    """Squared coefficients sorted descending, plus their running fraction.
+    """Running fraction of the squared coefficients sorted descending, and
+    their total.
 
     For an all-zero spectrum, total_energy is 0 and cumulative_fraction is
     empty; callers treat that as a ZeroSpectrum flag rather than dividing.
     """
 
-    sorted_energies: np.ndarray
     cumulative_fraction: np.ndarray
     total_energy: float
 
@@ -87,17 +87,13 @@ class SweepPoint:
 
 
 def energy_curve(f: Spectrum) -> EnergyCurve:
-    """Square, sort descending, accumulate."""
-    energies = _descending_energies(np.array(f.coefficients.data))
-    fraction = energies.copy()
+    """Square, sort descending and accumulate, in one copy of the spectrum."""
+    fraction = _descending_energies(np.array(f.coefficients.data))
     total = _accumulate(fraction)
     if total == 0.0:
         fraction = np.empty(0)
-    energies.setflags(write=False)
     fraction.setflags(write=False)
-    return EnergyCurve(
-        sorted_energies=energies, cumulative_fraction=fraction, total_energy=total
-    )
+    return EnergyCurve(cumulative_fraction=fraction, total_energy=total)
 
 
 def _factored_energies(b: Matrix, a: Matrix, scale: float) -> np.ndarray:
@@ -287,16 +283,21 @@ def mask_count(k_percent: float, total_count: int) -> int:
 
 
 def reconstruct(f: Spectrum, mask: MaskResult) -> Matrix:
-    """Zero all non-retained coefficients and invert the transform."""
+    """Zero all non-retained coefficients and invert the transform. The
+    indices may come in any order, but each must lie in the spectrum and
+    have one value."""
     m, n = f.coefficients.shape
-    if mask.k_count > m * n or (
-        mask.retained_flat_indices.size
-        and int(mask.retained_flat_indices[-1]) >= m * n
+    indices, values = mask.retained_flat_indices, mask.retained_values
+    if (
+        indices.shape != values.shape
+        or mask.k_count > m * n
+        or (indices.size and not 0 <= indices.min() <= indices.max() < m * n)
     ):
         raise ShapeMismatch(
-            f"mask indexes beyond the {m}x{n} spectrum it is applied to"
+            f"mask of {indices.size} indices and {values.size} values does not "
+            f"fit the {m}x{n} spectrum it is applied to"
         )
-    return scatter_idct2((m, n), mask.retained_flat_indices, mask.retained_values)
+    return scatter_idct2((m, n), indices, values)
 
 
 def sweep(x: Matrix | Spectrum, k_values: list[float]) -> list[SweepPoint]:

@@ -25,7 +25,7 @@ from .errors import (
     ShapeMismatch,
     TruncatedFile,
 )
-from .linalg import Matrix, matmul
+from .linalg import Matrix
 
 _DTYPES = {"F16": np.dtype("<f2"), "F32": np.dtype("<f4"), "F64": np.dtype("<f8")}
 _LAYER_SEGMENT = re.compile(r"(?:^|\.)layers?\.(\d+)(?:\.|$)")
@@ -314,8 +314,15 @@ def pair_lora(file: AdapterFile) -> PairingResult:
 
 
 def merge_delta(pair: LoraPair) -> Matrix:
-    """Merged update scale * (B @ A), deterministic summation order."""
-    return matmul(pair.b_matrix, pair.a_matrix).scaled(pair.scale)
+    """Merged update scale * (B @ A) in one m x n buffer: rank-1 terms summed
+    in ascending inner index, so each entry is the naive triple loop's bit for
+    bit whatever BLAS does, then scaled in place."""
+    b, a = pair.b_matrix.array, pair.a_matrix.array
+    out = np.zeros(pair.out_shape)
+    for k in range(pair.rank):
+        out += np.multiply.outer(b[:, k], a[k])
+    out *= float(pair.scale)
+    return Matrix(out, copy=False)
 
 
 def _norm(m: Matrix) -> float:

@@ -299,12 +299,6 @@ def dct2_reference(x: Matrix) -> Spectrum:
     return Spectrum(Matrix(coeffs))
 
 
-def idct2_reference(f: Spectrum) -> Matrix:
-    """Definitional inverse: transpose of the orthogonal basis on each side."""
-    m, n = f.coefficients.shape
-    return Matrix(_basis(m).T @ f.coefficients.array @ _basis(n))
-
-
 @lru_cache(maxsize=32)
 def _basis(n: int) -> np.ndarray:
     """Orthonormal DCT-II basis matrix: row u is the u-th cosine mode."""

@@ -8,7 +8,8 @@ platform with a faithful libm.
 SplitMix64 is counter-based (output i is mix(seed + i*gamma)), so `fill`
 draws the stream in numpy uint64 blocks of _BLOCK_PAIRS pairs, and the
 uniforms, square roots and products are array operations. Each is exact or
-correctly rounded, so the bytes equal the one-at-a-time `next()` stream.
+correctly rounded, so the bytes equal those of the one-at-a-time stream,
+the scalar reference in tests/oracles.py.
 log, cos and sin are not correctly rounded, and numpy's log differs from
 libm's in the last bit on about 0.35% of uniforms, so all three stay `math`
 calls mapped over each block.
@@ -74,20 +75,14 @@ class FixtureSpec:
 
 
 class SplitMix64:
-    """Reference SplitMix64 stream over exact 64-bit integers."""
+    """SplitMix64 stream over 64-bit integers, drawn in blocks."""
 
     def __init__(self, seed: int):
         self._state = seed & _MASK64
 
-    def next_u64(self) -> int:
-        self._state = (self._state + _GAMMA) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-        return z ^ (z >> 31)
-
     def next_block(self, count: int) -> np.ndarray:
-        """The next `count` outputs as uint64, as `count` next_u64() calls."""
+        """The next `count` outputs as uint64, exactly those of the scalar
+        stream in tests/oracles.py."""
         # Explicit uint64 operands: numpy 1.x turns uint64 op int into float64.
         z = np.arange(1, count + 1, dtype=np.uint64)
         z *= np.uint64(_GAMMA)
@@ -100,12 +95,9 @@ class SplitMix64:
         z ^= z >> np.uint64(31)
         return z
 
-    def next_unit(self) -> float:
-        """Uniform in (0, 1]: 53 high bits, shifted off zero."""
-        return ((self.next_u64() >> 11) + 1) * _TWO_NEG53
-
     def next_unit_block(self, count: int) -> np.ndarray:
-        """The next `count` next_unit() values as float64, exactly."""
+        """The next `count` uniforms in (0, 1] as float64: each output's 53
+        high bits, shifted off zero."""
         z = self.next_block(count)
         z >>= np.uint64(11)
         z += np.uint64(1)
@@ -121,20 +113,9 @@ class GaussianStream:
         self._rng = rng
         self._spare: float | None = None
 
-    def next(self) -> float:
-        if self._spare is not None:
-            value = self._spare
-            self._spare = None
-            return value
-        u1 = self._rng.next_unit()
-        u2 = self._rng.next_unit()
-        radius = math.sqrt(-2.0 * math.log(u1))
-        theta = 2.0 * math.pi * u2
-        self._spare = radius * math.sin(theta)
-        return radius * math.cos(theta)
-
     def fill(self, rows: int, cols: int, scale: float = 1.0) -> np.ndarray:
-        """rows x cols of next() * scale, row-major, drawn in blocks."""
+        """rows x cols normals times scale, row-major, drawn in blocks; a
+        pair's cosine comes first, and an odd sine is kept for the next call."""
         size = rows * cols
         start = 1 if self._spare is not None and size else 0
         npairs = (size - start + 1) // 2

