@@ -512,11 +512,31 @@ class TestMergeDelta:
         got = merge_delta(self.make_pair(np.eye(3), b)).array
         np.testing.assert_array_equal(got, b)
 
+    @staticmethod
+    def triple_loop(b, a):
+        m, r = b.shape
+        n = a.shape[1]
+        want = np.zeros((m, n))
+        for i in range(m):
+            for j in range(n):
+                acc = 0.0
+                for k in range(r):
+                    acc += b[i, k] * a[k, j]
+                want[i, j] = acc
+        return want
+
     def test_matches_triple_loop(self):
-        """Bit for bit, on one 20x30 rank-4 pair and 20 random small shapes."""
         rng = np.random.default_rng(72)
-        shapes = [(20, 4, 30)]
-        while len(shapes) < 21:
+        a = rng.standard_normal((4, 30))
+        b = rng.standard_normal((20, 4))
+        got = merge_delta(self.make_pair(a, b)).array
+        np.testing.assert_array_equal(got, self.triple_loop(b, a))
+
+    def test_matches_triple_loop_bitwise(self):
+        """Bit for bit on 20 random small shapes with r <= min(m, n)."""
+        rng = np.random.default_rng(7)
+        shapes = []
+        while len(shapes) < 20:
             m, r, n = (int(v) for v in rng.integers(1, 9, size=3))
             if r <= min(m, n):
                 shapes.append((m, r, n))
@@ -524,14 +544,7 @@ class TestMergeDelta:
             a = rng.standard_normal((r, n))
             b = rng.standard_normal((m, r))
             got = merge_delta(self.make_pair(a, b)).array
-            want = np.zeros((m, n))
-            for i in range(m):
-                for j in range(n):
-                    acc = 0.0
-                    for k in range(r):
-                        acc += b[i, k] * a[k, j]
-                    want[i, j] = acc
-            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(got, self.triple_loop(b, a))
 
     def test_deterministic_across_calls(self):
         rng = np.random.default_rng(70)
