@@ -284,14 +284,15 @@ def mask_count(k_percent: float, total_count: int) -> int:
 
 def reconstruct(f: Spectrum, mask: MaskResult) -> Matrix:
     """Zero all non-retained coefficients and invert the transform. The
-    indices may come in any order, but each must lie in the spectrum and
-    have one value."""
+    indices may come in any order, but each must lie in the spectrum, occur
+    once and have one value, and k_count must be their number."""
     m, n = f.coefficients.shape
     indices, values = mask.retained_flat_indices, mask.retained_values
     if (
         indices.shape != values.shape
-        or mask.k_count > m * n
+        or mask.k_count != indices.size
         or (indices.size and not 0 <= indices.min() <= indices.max() < m * n)
+        or np.unique(indices).size != indices.size
     ):
         raise ShapeMismatch(
             f"mask of {indices.size} indices and {values.size} values does not "

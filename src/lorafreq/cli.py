@@ -178,7 +178,8 @@ def cmd_mask(input, k, out, emit, base_params, scale, threads):
 def cmd_decompress(input, out, threads):
     """Reconstruct dense updates from a sparse spectral file."""
     spectra = codec.unpack_sparse_file(read_container(Path(input).read_bytes()))
-    # Not through decode_sparse: unpack_sparse_file has validated each one.
+    # Not through decode_sparse, which allocates each inverse on its own:
+    # _write_dense inverts them one at a time in one shared buffer.
     tensors = [
         (f"{s.name}.delta_w", s.shape, s.flat_indices, s.values) for s in spectra
     ]

@@ -7,6 +7,9 @@ any other dtype tag is CorruptSparse. File metadata marks the layout: format
 "spectral-sparse-v1", transform "dct2-ortho-v1" (the only one, so a
 SparseSpectrum does not carry it), the uniform k_percent, and one
 "shape.<name>" entry per spectrum.
+
+Every SparseSpectrum checks its invariants when it is made, so any instance,
+however built, can be scattered and inverted as it is.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from .dct import Spectrum, scatter_idct2
 from .errors import (
     ContainerError,
     CorruptSparse,
-    DuplicateName,
     InvalidSpec,
     NotSpectralFile,
 )
@@ -38,9 +40,10 @@ _VALUES_SUFFIX = ".spectral_values"
 class SparseSpectrum:
     """Retained coefficients of one masked spectrum.
 
-    Invariants (enforced where instances cross a trust boundary, i.e. in
-    decode_sparse and unpack_sparse_file): flat_indices strictly increasing,
-    all below m*n, non-empty, and the same length as values.
+    Invariants, checked on construction (CorruptSparse otherwise), so every
+    instance holds them: a positive shape, flat_indices non-empty, the same
+    length as values, strictly increasing, in [0, m*n) and below 2^32. Both
+    arrays are then set read-only.
     """
 
     name: str
@@ -48,6 +51,29 @@ class SparseSpectrum:
     flat_indices: np.ndarray  # int64 holding u32-range values
     values: np.ndarray  # float32
     k_percent: float
+
+    def __post_init__(self):
+        m, n = self.shape
+        indices = self.flat_indices
+        if m < 1 or n < 1:
+            raise CorruptSparse(f"spectrum {self.name!r}: bad shape {self.shape}")
+        if indices.size == 0:
+            raise CorruptSparse(f"spectrum {self.name!r}: empty index list")
+        if indices.size != self.values.size:
+            raise CorruptSparse(
+                f"spectrum {self.name!r}: {indices.size} indices vs "
+                f"{self.values.size} values"
+            )
+        if int(indices[0]) < 0 or int(indices[-1]) >= m * n:
+            raise CorruptSparse(f"spectrum {self.name!r}: index out of range")
+        if not np.all(indices[1:] > indices[:-1]):
+            raise CorruptSparse(
+                f"spectrum {self.name!r}: indices must be strictly increasing"
+            )
+        if int(indices[-1]) >= 2**32:
+            raise CorruptSparse(f"spectrum {self.name!r}: index exceeds 32-bit range")
+        indices.setflags(write=False)
+        self.values.setflags(write=False)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseSpectrum):
@@ -107,21 +133,17 @@ def _sparse(
             f"{name}: retained DCT coefficients exceed binary32 range, "
             "so the sparse file cannot store them"
         )
-    values = np.array(values, dtype=np.float32)
-    indices.setflags(write=False)
-    values.setflags(write=False)
     return SparseSpectrum(
         name=name,
         shape=shape,
         flat_indices=indices,
-        values=values,
+        values=np.array(values, dtype=np.float32),
         k_percent=float(k_percent),
     )
 
 
 def decode_sparse(s: SparseSpectrum) -> Matrix:
     """Scatter retained values into a zero spectrum and invert."""
-    _validate(s)
     return scatter_idct2(s.shape, s.flat_indices, s.values)
 
 
@@ -130,9 +152,6 @@ def pack_sparse_file(spectra: list[SparseSpectrum]) -> AdapterFile:
     values go in as they are, the indices as one binary64 copy."""
     if not spectra:
         raise InvalidSpec("cannot pack an empty spectrum list")
-    names = [s.name for s in spectra]
-    if len(set(names)) != len(names):
-        raise DuplicateName("spectrum names must be unique")
     k_values = {s.k_percent for s in spectra}
     if len(k_values) > 1:
         raise InvalidSpec(
@@ -147,7 +166,6 @@ def pack_sparse_file(spectra: list[SparseSpectrum]) -> AdapterFile:
 
     tensors = []
     for s in spectra:
-        _validate(s)
         count = int(s.flat_indices.size)
         tensors.append(
             TensorRecord(s.name + _INDICES_SUFFIX, "F64", (1, count), s.flat_indices)
@@ -216,7 +234,6 @@ def unpack_sparse_file(file: AdapterFile) -> list[SparseSpectrum]:
             values=raw_val.astype(np.float32),
             k_percent=k_percent,
         )
-        _validate(s)
         spectra.append(s)
     if not spectra:
         raise CorruptSparse("sparse file contains no spectra")
@@ -254,27 +271,6 @@ def storage_report(
 def _fits_binary32(values: np.ndarray) -> bool:
     """Every value is finite and within binary32 range."""
     return bool(np.all(np.abs(values) <= np.finfo(np.float32).max))
-
-
-def _validate(s: SparseSpectrum) -> None:
-    m, n = s.shape
-    if m < 1 or n < 1:
-        raise CorruptSparse(f"spectrum {s.name!r}: bad shape {s.shape}")
-    if s.flat_indices.size == 0:
-        raise CorruptSparse(f"spectrum {s.name!r}: empty index list")
-    if s.flat_indices.size != s.values.size:
-        raise CorruptSparse(
-            f"spectrum {s.name!r}: {s.flat_indices.size} indices vs "
-            f"{s.values.size} values"
-        )
-    if int(s.flat_indices[0]) < 0 or int(s.flat_indices[-1]) >= m * n:
-        raise CorruptSparse(f"spectrum {s.name!r}: index out of range")
-    if not np.all(s.flat_indices[1:] > s.flat_indices[:-1]):
-        raise CorruptSparse(
-            f"spectrum {s.name!r}: indices must be strictly increasing"
-        )
-    if int(s.flat_indices[-1]) >= 2**32:
-        raise CorruptSparse(f"spectrum {s.name!r}: index exceeds 32-bit range")
 
 
 def _parse_shape(metadata: dict[str, str], base: str) -> tuple[int, int]:

@@ -28,7 +28,8 @@ Kinds:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import dataclasses
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -182,15 +183,9 @@ def ramp_specs(
         raise InvalidSpec(
             f"rank ramp 1..{count} does not fit min({m}, {n})"
         )
+    base = FixtureSpec(kind, m, n, seed=seed & _MASK64, noise_level=noise_level)
     return [
-        FixtureSpec(
-            kind=kind,
-            m=m,
-            n=n,
-            r=i + 1,
-            seed=(seed + i) & _MASK64,
-            noise_level=noise_level,
-        )
+        dataclasses.replace(base, r=i + 1, seed=(seed + i) & _MASK64)
         for i in range(count)
     ]
 
@@ -200,14 +195,7 @@ def repeat_specs(spec: FixtureSpec, count: int) -> list[FixtureSpec]:
     if count < 1:
         raise InvalidSpec("count must be positive")
     return [
-        FixtureSpec(
-            kind=spec.kind,
-            m=spec.m,
-            n=spec.n,
-            r=spec.r,
-            seed=(spec.seed + i) & _MASK64,
-            noise_level=spec.noise_level,
-        )
+        dataclasses.replace(spec, seed=(spec.seed + i) & _MASK64)
         for i in range(count)
     ]
 

@@ -42,12 +42,6 @@ def _tool_version() -> str:
         return "0.0.0"
 
 
-def __getattr__(name: str):
-    if name == "TOOL_VERSION":
-        return _tool_version()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 # Curves over this many coefficients are thinned to at most _CURVE_POINTS
 # evenly spaced ranks; below it every rank is emitted.
 _CURVE_FULL_LIMIT = 4096

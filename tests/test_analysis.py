@@ -468,8 +468,9 @@ class TestReconstruct:
     @pytest.mark.parametrize(
         "indices, values",
         [([-1, 3], [1.0, 2.0]), ([100, 3], [1.0, 2.0]), ([3, 16], [1.0, 2.0]),
-         ([0, 1, 2], [1.0])],
-        ids=["negative", "past-the-end-first", "past-the-end-last", "one-value-short"],
+         ([0, 1, 2], [1.0]), ([3, 3], [1.0, 5.0]), ([0, 1, 2], [1.0, 2.0, 3.0])],
+        ids=["negative", "past-the-end-first", "past-the-end-last", "one-value-short",
+             "repeated", "k-count-disagrees"],
     )
     def test_rejects_a_mask_that_does_not_fit(self, indices, values):
         f = dct2(Matrix(np.random.default_rng(91).standard_normal((4, 4))))

@@ -193,6 +193,39 @@ class TestAnalyze:
         src.write_bytes(b"\x10\x00\x00\x00\x00\x00\x00\x00not json at all!")
         assert main(["analyze", str(src), "--out", str(tmp_path / "rep")]) == 2
 
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ({"__metadata__": []}, "__metadata__ must be an object"),
+            ({"w": []}, "header entry must be an object"),
+            ({"w": {"dtype": "F64", "shape": [1.5], "data_offsets": [0, 8]}},
+             "shape must be a list of integers"),
+            ({"w": {"dtype": "F64", "shape": [True], "data_offsets": [0, 8]}},
+             "shape must be a list of integers"),
+            ({"w": {"dtype": "F64", "shape": [1], "data_offsets": [0]}},
+             "data_offsets must be [start, end] integers"),
+        ],
+        ids=["metadata-list", "entry-list", "shape-float", "shape-bool", "one-offset"],
+    )
+    def test_malformed_header_exits_2(self, tmp_path, capsys, header, message):
+        text = json.dumps(header).encode()
+        src = tmp_path / "bad.st"
+        src.write_bytes(struct.pack("<Q", len(text)) + text + bytes(8))
+        capsys.readouterr()
+        assert main(["analyze", str(src), "--out", str(tmp_path / "rep")]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_unpaired_factor_warned_once(self, tmp_path, capsys):
+        file = generate(FixtureSpec(kind="mixed", m=8, n=8, r=2, noise_level=0.1))
+        lone = TensorRecord("layer.1.query.lora_A.weight", "F64", (2, 8), np.ones((2, 8)))
+        src = tmp_path / "lone.st"
+        src.write_bytes(write_container(AdapterFile(file.tensors + (lone,), {})))
+        capsys.readouterr()
+        assert main(["analyze", str(src), "--out", str(tmp_path / "rep")]) == 0
+        err = capsys.readouterr().err.splitlines()
+        warnings = [line for line in err if line.startswith("warning:")]
+        assert warnings == ["warning: unpaired factor layer.1.query.lora_A.weight"]
+
     def test_missing_input_exits_1(self, tmp_path):
         code = main(["analyze", str(tmp_path / "nope.st"), "--out", str(tmp_path / "rep")])
         assert code == 1
@@ -408,6 +441,15 @@ class TestDecompress:
     def test_non_spectral_input_exits_5(self, tmp_path):
         src = synth(tmp_path)
         assert main(["decompress", str(src), "--out", str(tmp_path / "o.st")]) == 5
+
+    def test_tagged_file_without_spectra_exits_5(self, tmp_path, capsys):
+        meta = {"format": codec.FORMAT_TAG, "transform": codec.TRANSFORM_TAG,
+                "k_percent": "10.0"}
+        src = tmp_path / "empty.st"
+        src.write_bytes(write_container(AdapterFile(tensors=(), metadata=meta)))
+        capsys.readouterr()
+        assert main(["decompress", str(src), "--out", str(tmp_path / "o.st")]) == 5
+        assert "contains no spectra" in capsys.readouterr().err
 
     def test_tampered_indices_exit_5(self, tmp_path):
         src = synth(tmp_path)
@@ -650,8 +692,9 @@ class TestSweep:
 
     def test_garbage_k_list_exits_1(self, tmp_path):
         src = synth(tmp_path)
-        assert main(["sweep", str(src), "--k-list", "5,banana",
-                     "--out", str(tmp_path / "s.csv")]) == 1
+        for k_list in ("5,banana", ","):
+            assert main(["sweep", str(src), "--k-list", k_list,
+                         "--out", str(tmp_path / "s.csv")]) == 1
 
 
 class TestCorrelate:
@@ -921,6 +964,12 @@ except metadata.PackageNotFoundError:
     assert tagged[:2] == [["loaded", "False"], ["loaded", "False"]]
     report_doc = json.loads((tmp_path / "rep" / "report.json").read_text())
     assert tagged[2:] == [["version", report_doc["tool_version"]]]
+
+
+def test_tool_version_is_read_through_the_package():
+    """The package's __getattr__ is the one lazy route to the version."""
+    assert lorafreq.TOOL_VERSION == lorafreq.__version__ == report._tool_version()
+    assert not hasattr(report, "TOOL_VERSION")
 
 
 def test_export_list():

@@ -101,6 +101,33 @@ class TestEncodeSparse:
             encode_sparse("big", f, topk_mask(f, 10.0))
 
 
+class TestSparseSpectrum:
+    """Every instance holds the invariants decode_sparse and the dense
+    writer rely on, however it was built."""
+
+    @pytest.mark.parametrize(
+        "indices, values, shape, match",
+        [
+            ([2, 0], [1.0, 2.0], (2, 2), "strictly increasing"),
+            ([1, 1], [1.0, 2.0], (2, 2), "strictly increasing"),
+            ([4], [1.0], (2, 2), "out of range"),
+            ([-1, 0], [1.0, 2.0], (2, 2), "out of range"),
+            ([0], [1.0], (0, 2), "bad shape"),
+            ([2**32], [1.0], (2**32, 2), "32-bit range"),
+        ],
+        ids=["unsorted", "repeated", "past-the-end", "negative", "bad-shape",
+             "beyond-u32"],
+    )
+    def test_construction_rejects_a_broken_spectrum(self, indices, values, shape, match):
+        with pytest.raises(CorruptSparse, match=match):
+            sparse(indices, values, shape=shape)
+
+    def test_arrays_are_read_only(self):
+        s = sparse([0, 3], [1.0, 2.0])
+        assert not s.flat_indices.flags.writeable
+        assert not s.values.flags.writeable
+
+
 class TestDecodeSparse:
     def test_single_dc_entry(self):
         out = decode_sparse(sparse([0], [4.0], shape=(4, 4)))
@@ -161,6 +188,12 @@ class TestPackUnpack:
         assert not np.shares_memory(back.flat_indices, whole)
         assert not np.shares_memory(back.values, whole)
         assert peak <= 1.25 * len(raw)
+
+    def test_unpacked_spectra_are_read_only(self):
+        raw = write_container(pack_sparse_file(self.make_spectra(3)))
+        for s in unpack_sparse_file(read_container(raw)):
+            assert not s.flat_indices.flags.writeable
+            assert not s.values.flags.writeable
 
     def test_structure_single_spectrum(self):
         s = sparse([0, 2, 3], [1.0, 2.0, 3.0], shape=(2, 2), name="t")

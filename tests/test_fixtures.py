@@ -1,6 +1,7 @@
 """Deterministic fixture generation: PRNG streams and adapter structure."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -408,6 +409,15 @@ class TestSets:
         assert [s.r for s in specs] == [1, 2, 3, 4, 5]
         assert [s.seed for s in specs] == [9, 10, 11, 12, 13]
         assert all(s.kind == "mixed" for s in specs)
+        # As in repeat_specs, the seed wraps modulo 2^64.
+        specs = ramp_specs("mixed", 8, 8, 3, seed=2**64 + 5, noise_level=0.1)
+        assert [s.seed for s in specs] == [5, 6, 7]
+
+    def test_zero_count_rejected(self):
+        with pytest.raises(InvalidSpec, match="count must be positive"):
+            ramp_specs("mixed", 8, 8, 0, seed=0)
+        with pytest.raises(InvalidSpec, match="count must be positive"):
+            repeat_specs(FixtureSpec(kind="mixed", m=8, n=8), 0)
 
     def test_ramp_too_steep(self):
         with pytest.raises(InvalidSpec):
@@ -423,3 +433,18 @@ class TestSets:
         base = FixtureSpec(kind="dense_gaussian", m=8, n=8, seed=MASK64)
         specs = repeat_specs(base, 2)
         assert specs[1].seed == 0
+
+    def test_repeat_specs_keep_every_field(self):
+        """Each copy is the spec with only its seed changed, so a subclass
+        keeps its type and the fields repeat_specs does not name."""
+
+        @dataclass(frozen=True)
+        class TaggedSpec(FixtureSpec):
+            tag: str = "untagged"
+
+        base = TaggedSpec(kind="mixed", m=8, n=8, r=2, seed=3, noise_level=0.1,
+                          tag="layer")
+        specs = repeat_specs(base, 2)
+        assert [type(s) for s in specs] == [TaggedSpec, TaggedSpec]
+        assert [s.tag for s in specs] == ["layer", "layer"]
+        assert [(s.r, s.seed, s.noise_level) for s in specs] == [(2, 3, 0.1), (2, 4, 0.1)]
